@@ -1,9 +1,9 @@
 // Shared setup for the bench binaries: flag parsing and Study construction.
 //
-// Every bench accepts --seed N --scale X --threads N --quick plus the
-// campaign-envelope knobs --fault-rate F --quota-profile P --retry-budget K,
-// and shares the on-disk measurement cache, so the expensive measurement
-// pass runs once for the whole bench suite.
+// Every bench accepts the study and campaign flags bound by
+// study_options_from_flags (core/study.h) and shares the on-disk
+// measurement cache, so the expensive measurement pass runs once for the
+// whole bench suite.
 #pragma once
 
 #include <iostream>
@@ -14,39 +14,22 @@
 namespace mlaas {
 
 inline StudyOptions study_options_from_cli(int argc, const char* const* argv) {
-  const BenchOptions bench = parse_bench_options(argc, argv);
-  StudyOptions opt;
-  opt.seed = bench.seed;
-  opt.scale = bench.scale;
-  opt.quick = bench.quick;
-  opt.threads = bench.threads;
-  opt.schedule = bench.schedule;
-  opt.fault_rate = bench.fault_rate;
-  opt.quota_profile = bench.quota_profile;
-  opt.retry_budget = bench.retry_budget;
-  opt.chaos_profile = bench.chaos_profile;
-  opt.breakers = bench.breakers;
-  opt.breaker_threshold = bench.breaker_threshold;
-  opt.breaker_cooldown = bench.breaker_cooldown;
-  opt.breaker_probes = bench.breaker_probes;
-  opt.jitter = bench.jitter;
-  opt.resume = bench.resume;
-  return opt;
+  return study_options_from_flags(CliFlags(argc, argv));
 }
 
 inline void print_bench_header(const std::string& title, const StudyOptions& opt) {
+  const CampaignOptions& c = opt.campaign;
   std::cout << "==== " << title << " ====\n"
             << "seed=" << opt.seed << " scale=" << opt.scale
             << (opt.quick ? " (quick mode)" : "");
-  if (opt.fault_rate > 0.0 || opt.quota_profile != "default") {
-    std::cout << " fault-rate=" << opt.fault_rate << " quota-profile=" << opt.quota_profile
-              << " retry-budget=" << opt.retry_budget;
+  if (c.fault_rate > 0.0 || c.quota_profile != "default") {
+    std::cout << " fault-rate=" << c.fault_rate << " quota-profile=" << c.quota_profile
+              << " retry-budget=" << c.retry_budget;
   }
-  if (opt.chaos_profile != "none") std::cout << " chaos-profile=" << opt.chaos_profile;
-  if (opt.schedule != "dynamic") std::cout << " schedule=" << opt.schedule;
-  if (opt.breakers) {
-    std::cout << " breakers=on(" << opt.breaker_threshold << "/" << opt.breaker_cooldown
-              << "s/" << opt.breaker_probes << ")";
+  if (c.chaos_profile != "none") std::cout << " chaos-profile=" << c.chaos_profile;
+  if (c.breaker.enabled) {
+    std::cout << " breakers=on(" << c.breaker.failure_threshold << "/"
+              << c.breaker.cooldown_seconds << "s/" << c.breaker.max_probes << ")";
   }
   std::cout << "\n\n";
 }

@@ -8,10 +8,11 @@
 // coverage, and how injected fault rates degrade corpus coverage even with
 // exponential-backoff retries.
 //
-// Flags beyond the common set: --fault-rate F, --quota-profile
-// {default,strict,free-tier,unlimited}, --retry-budget K, --schedule
-// {static,dynamic}.  The final section sweeps a skewed corpus over thread
-// counts to show what the dynamic session scheduler buys on imbalanced work.
+// Takes the common flags (study_options_from_flags), including the campaign
+// envelope: --fault-rate F, --quota-profile
+// {default,strict,free-tier,unlimited}, --retry-budget K.  The final section
+// sweeps a skewed corpus over thread counts to show how the session
+// scheduler spreads imbalanced work.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -109,13 +110,12 @@ int main(int argc, char** argv) {
             << "%); " << ct.cells_deferred
             << " cells were deferred by open breakers instead of failing slowly.\n";
 
-  // ---- Scheduler sweep: static vs dynamic dispatch on a skewed corpus. ----
+  // ---- Scheduler sweep: session dispatch on a skewed corpus. ----
   // Real corpora are skewed: the paper's datasets span two orders of
-  // magnitude in size (§3.1).  Under static per-dataset chunking one big
-  // dataset serializes its whole platform sweep on a single worker; the
-  // dynamic scheduler spreads its sessions across the pool.  Seven small
-  // datasets plus one large one is the worst case for static chunks.
-  std::cout << "\nScheduler sweep (7 small + 1 large dataset, static vs dynamic):\n";
+  // magnitude in size (§3.1).  The scheduler dispatches (dataset, platform)
+  // sessions longest-estimated-first, so one big dataset's platform sweep
+  // spreads across the pool instead of serializing on one worker.
+  std::cout << "\nScheduler sweep (7 small + 1 large dataset):\n";
   std::vector<Dataset> skewed;
   for (std::size_t i = 0; i < 7; ++i) {
     skewed.push_back(make_blobs(150, 8, 2.0, 10.0,
@@ -126,52 +126,42 @@ int main(int argc, char** argv) {
                                        derive_seed(opt.seed, "sched-large")));
   skewed.back().meta().id = "sched-large";
 
-  TextTable sched({"Threads", "Static", "Dynamic", "Speedup", "Imbalance s/d",
-                   "Balance gain", "Stolen"});
+  TextTable sched({"Threads", "Wall", "Speedup", "Imbalance", "Stolen"});
   std::string reference_table;  // masked TSV of the first run: all must match
   bool tables_identical = true;
+  double serial_wall = 0.0;
   for (const int threads : {1, 2, 4, 8}) {
-    double wall[2] = {0.0, 0.0};
-    double imbalance[2] = {1.0, 1.0};
-    std::size_t stolen = 0;
-    for (const Schedule schedule : {Schedule::kStatic, Schedule::kDynamic}) {
-      MeasurementOptions sw = mopt;
-      sw.verbose = false;
-      sw.threads = threads;
-      sw.schedule = schedule;
-      const auto t0 = std::chrono::steady_clock::now();
-      const CampaignResult r = run_campaign(skewed, study.platforms(), sw);
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-      const std::size_t which = schedule == Schedule::kStatic ? 0 : 1;
-      wall[which] = secs;
-      imbalance[which] = r.report.scheduler.imbalance();
-      if (schedule == Schedule::kDynamic) stolen = r.report.scheduler.sessions_stolen;
-      // The scheduler must never change results: compare the table with the
-      // run-dependent train-CPU column masked out.
-      std::ostringstream masked;
-      for (const auto& m : r.table.rows()) {
-        Measurement copy = m;
-        copy.train_seconds = 0.0;
-        masked << measurement_row_to_tsv(copy) << '\n';
-      }
-      if (reference_table.empty()) {
-        reference_table = masked.str();
-      } else if (masked.str() != reference_table) {
-        tables_identical = false;
-      }
+    MeasurementOptions sw = mopt;
+    sw.verbose = false;
+    sw.threads = threads;
+    const auto t0 = std::chrono::steady_clock::now();
+    const CampaignResult r = run_campaign(skewed, study.platforms(), sw);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (threads == 1) serial_wall = secs;
+    // The scheduler must never change results: compare the table with the
+    // run-dependent train/predict CPU columns masked out.
+    std::ostringstream masked;
+    for (const auto& m : r.table.rows()) {
+      Measurement copy = m;
+      copy.train_seconds = 0.0;
+      copy.predict_seconds = 0.0;
+      masked << measurement_row_to_tsv(copy) << '\n';
     }
-    sched.add_row({std::to_string(threads), fmt(wall[0], 2) + " s", fmt(wall[1], 2) + " s",
-                   fmt(wall[0] / std::max(wall[1], 1e-9), 2) + "x",
-                   fmt(imbalance[0], 2) + " / " + fmt(imbalance[1], 2),
-                   fmt(imbalance[0] / std::max(imbalance[1], 1e-9), 2) + "x",
-                   std::to_string(stolen)});
+    if (reference_table.empty()) {
+      reference_table = masked.str();
+    } else if (masked.str() != reference_table) {
+      tables_identical = false;
+    }
+    sched.add_row({std::to_string(threads), fmt(secs, 2) + " s",
+                   fmt(serial_wall / std::max(secs, 1e-9), 2) + "x",
+                   fmt(r.report.scheduler.imbalance(), 2),
+                   std::to_string(r.report.scheduler.sessions_stolen)});
   }
   std::cout << sched.str() << "\nMeasurement tables across all "
-            << (tables_identical ? "8 runs are byte-identical" : "runs DIFFER (BUG)")
-            << " (train-CPU column masked); the scheduler only moves work, never"
-               " results.\nWall speedup tracks the balance gain once the machine has"
-               " at least as many cores\nas workers; on fewer cores the balance-gain"
-               " column is the portable signal.\n";
+            << (tables_identical ? "4 runs are byte-identical" : "runs DIFFER (BUG)")
+            << " (CPU-time columns masked); the scheduler only moves work, never"
+               " results.\nWall speedup is bounded by the machine's core count;"
+               " imbalance (max/mean worker busy\ntime) is the portable signal.\n";
   return 0;
 }

@@ -20,22 +20,23 @@
 //
 // Modes:
 //   (default)                human-readable table
-//   --json                   regression harness
+//   --json                   regression harness (the perf gate of perf_gate.h)
 //     --out FILE             output path (default BENCH_serving.json)
 //     --baseline FILE        committed baseline (bench/baselines/...)
 //     --check-regression F   exit 1 if any scenario's simulated throughput
-//                            drops below baseline_throughput / F.  Simulated
-//                            throughput is seeded and deterministic, so the
-//                            factor only needs to absorb intentional
-//                            behaviour changes, not runner noise.
+//                            drops below baseline throughput / F or is not
+//                            baselined.  Simulated throughput is seeded and
+//                            deterministic, so the factor only needs to
+//                            absorb intentional behaviour changes, not
+//                            runner noise.
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "perf_gate.h"
 #include "platform/serving.h"
 #include "util/table.h"
 #include "util/trace.h"
@@ -123,29 +124,7 @@ const std::vector<std::string>& scenario_names() {
   return names;
 }
 
-/// Minimal field scrape, mirroring bench_micro_classifiers: find the named
-/// scenario in the baseline JSON, return its throughput (0 when absent).
-double baseline_throughput(const std::string& json, const std::string& name) {
-  const std::string anchor = "\"name\": \"" + name + "\"";
-  std::size_t at = json.find(anchor);
-  if (at == std::string::npos) return 0.0;
-  const std::string key = "\"throughput_rows_per_sec\": ";
-  at = json.find(key, at);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(json.c_str() + at + key.size(), nullptr);
-}
-
-int run_json_mode(const std::vector<std::string>& args) {
-  std::string out_path = "BENCH_serving.json";
-  std::string baseline_path;
-  double check_factor = 0.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out" && i + 1 < args.size()) out_path = args[++i];
-    else if (args[i] == "--baseline" && i + 1 < args.size()) baseline_path = args[++i];
-    else if (args[i] == "--check-regression" && i + 1 < args.size())
-      check_factor = std::strtod(args[++i].c_str(), nullptr);
-  }
-
+int run_json_mode(const PerfGateArgs& gate) {
   std::vector<ScenarioResult> results;
   for (const auto& name : scenario_names()) results.push_back(run_scenario(name));
 
@@ -169,10 +148,8 @@ int run_json_mode(const std::vector<std::string>& args) {
   }
   json << "  ]\n}\n";
 
-  std::ofstream out(out_path);
-  out << json.str();
-  out.close();
-  std::cout << "wrote " << out_path << "\n" << json.str();
+  write_perf_json(gate.out_path, json.str());
+  std::cout << json.str();
 
   // Sample Chrome trace from the traced scenario, uploaded as a CI artifact
   // beside the throughput JSON.
@@ -185,42 +162,26 @@ int run_json_mode(const std::vector<std::string>& args) {
     }
   }
 
-  if (!baseline_path.empty() && check_factor > 0.0) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::cerr << "baseline missing: " << baseline_path << "\n";
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    bool failed = false;
-    for (const auto& r : results) {
-      const double expected = baseline_throughput(baseline, r.name);
-      if (expected <= 0.0) continue;
-      const double floor = expected / check_factor;
-      const double actual = r.report.totals.throughput_rows_per_sec();
-      if (actual < floor) {
-        std::cerr << "REGRESSION " << r.name << ": " << actual
-                  << " rows/s below floor " << floor << " rows/s (baseline "
-                  << expected << " / " << check_factor << ")\n";
-        failed = true;
-      }
-    }
-    if (failed) return 1;
-    std::cout << "regression check passed (factor " << check_factor << ")\n";
+  std::vector<PerfGateRow> gate_rows;
+  for (const auto& r : results) {
+    gate_rows.push_back({r.name, r.report.totals.throughput_rows_per_sec()});
   }
-  return 0;
+  return check_perf_gate(gate, gate_rows, "throughput_rows_per_sec");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      std::vector<std::string> args(argv + 1, argv + argc);
-      return run_json_mode(args);
+    if (std::string(argv[i]) != "--json") continue;
+    PerfGateArgs gate;
+    try {
+      gate = parse_perf_gate_args(argc, argv, "BENCH_serving.json");
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "bench_ext_serving: " << e.what() << "\n";
+      return 2;
     }
+    return run_json_mode(gate);
   }
 
   TextTable t({"Scenario", "Rows/s (sim)", "p50 (ms)", "p95 (ms)", "p99 (ms)",

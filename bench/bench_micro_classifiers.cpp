@@ -16,16 +16,15 @@
 //                   query batch under PredictKernel::kFlat vs kReference and
 //                   writes BENCH_predict.json.
 //
-// JSON-mode flags (shared by --json and --json-predict):
+// JSON-mode flags (shared by --json and --json-predict; see perf_gate.h):
 //   --out FILE               output path (default BENCH_tree_training.json /
 //                            BENCH_predict.json)
 //   --baseline FILE          committed baseline with expected speedups
 //   --check-regression F     exit 1 if any speedup drops below
-//                            baseline_speedup / F
+//                            baseline speedup / F, or is not baselined
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -35,6 +34,7 @@
 #include "ml/classifier.h"
 #include "ml/registry.h"
 #include "ml/tree/trainer.h"
+#include "perf_gate.h"
 
 namespace {
 
@@ -148,29 +148,13 @@ struct TreeBenchRow {
   double speedup() const { return fast_ms > 0.0 ? reference_ms / fast_ms : 0.0; }
 };
 
-/// Pull "speedup_vs_reference" for `name` out of the (small, known-shape)
-/// baseline JSON without a JSON library.  Returns 0 when absent.
-double baseline_speedup(const std::string& json, const std::string& name) {
-  const std::string anchor = "\"name\": \"" + name + "\"";
-  std::size_t at = json.find(anchor);
-  if (at == std::string::npos) return 0.0;
-  const std::string key = "\"speedup_vs_reference\":";
-  at = json.find(key, at);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(json.c_str() + at + key.size(), nullptr);
+std::vector<PerfGateRow> gate_rows(const std::vector<TreeBenchRow>& rows) {
+  std::vector<PerfGateRow> out;
+  for (const auto& row : rows) out.push_back({row.name, row.speedup()});
+  return out;
 }
 
-int run_json_mode(const std::vector<std::string>& args) {
-  std::string out_path = "BENCH_tree_training.json";
-  std::string baseline_path;
-  double check_factor = 0.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out" && i + 1 < args.size()) out_path = args[++i];
-    else if (args[i] == "--baseline" && i + 1 < args.size()) baseline_path = args[++i];
-    else if (args[i] == "--check-regression" && i + 1 < args.size())
-      check_factor = std::strtod(args[++i].c_str(), nullptr);
-  }
-
+int run_json_mode(const PerfGateArgs& gate) {
   const Dataset ds = tree_workload();
   std::vector<TreeBenchRow> rows;
   for (const auto& c : tree_cases()) {
@@ -196,36 +180,8 @@ int run_json_mode(const std::vector<std::string>& args) {
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  std::ofstream out(out_path);
-  out << json.str();
-  out.close();
-  std::cout << "wrote " << out_path << "\n";
-
-  if (!baseline_path.empty() && check_factor > 0.0) {
-    std::ifstream in(baseline_path);
-    if (!in.good()) {
-      std::cerr << "baseline missing: " << baseline_path << "\n";
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    int failures = 0;
-    for (const auto& row : rows) {
-      const double expected = baseline_speedup(baseline, row.name);
-      if (expected <= 0.0) continue;
-      const double floor = expected / check_factor;
-      if (row.speedup() < floor) {
-        std::cerr << "REGRESSION " << row.name << ": speedup " << row.speedup()
-                  << "x below floor " << floor << "x (baseline " << expected
-                  << "x / factor " << check_factor << ")\n";
-        ++failures;
-      }
-    }
-    if (failures > 0) return 1;
-    std::cout << "regression check passed (factor " << check_factor << ")\n";
-  }
-  return 0;
+  write_perf_json(gate.out_path, json.str());
+  return check_perf_gate(gate, gate_rows(rows), "speedup_vs_reference");
 }
 
 // ---------------------------------------------------------------------------
@@ -278,17 +234,7 @@ double time_predict_ms(const Classifier& clf, const Matrix& x, PredictKernel ker
   return best;
 }
 
-int run_predict_json_mode(const std::vector<std::string>& args) {
-  std::string out_path = "BENCH_predict.json";
-  std::string baseline_path;
-  double check_factor = 0.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out" && i + 1 < args.size()) out_path = args[++i];
-    else if (args[i] == "--baseline" && i + 1 < args.size()) baseline_path = args[++i];
-    else if (args[i] == "--check-regression" && i + 1 < args.size())
-      check_factor = std::strtod(args[++i].c_str(), nullptr);
-  }
-
+int run_predict_json_mode(const PerfGateArgs& gate) {
   const Dataset train = tree_workload();
   const Dataset queries = predict_queries();
   std::vector<TreeBenchRow> rows;
@@ -321,50 +267,26 @@ int run_predict_json_mode(const std::vector<std::string>& args) {
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  std::ofstream out(out_path);
-  out << json.str();
-  out.close();
-  std::cout << "wrote " << out_path << "\n";
-
-  if (!baseline_path.empty() && check_factor > 0.0) {
-    std::ifstream in(baseline_path);
-    if (!in.good()) {
-      std::cerr << "baseline missing: " << baseline_path << "\n";
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    int failures = 0;
-    for (const auto& row : rows) {
-      const double expected = baseline_speedup(baseline, row.name);
-      if (expected <= 0.0) continue;
-      const double floor = expected / check_factor;
-      if (row.speedup() < floor) {
-        std::cerr << "REGRESSION " << row.name << ": speedup " << row.speedup()
-                  << "x below floor " << floor << "x (baseline " << expected
-                  << "x / factor " << check_factor << ")\n";
-        ++failures;
-      }
-    }
-    if (failures > 0) return 1;
-    std::cout << "regression check passed (factor " << check_factor << ")\n";
-  }
-  return 0;
+  write_perf_json(gate.out_path, json.str());
+  return check_perf_gate(gate, gate_rows(rows), "speedup_vs_reference");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      std::vector<std::string> args(argv + 1, argv + argc);
-      return run_json_mode(args);
+    const std::string mode = argv[i];
+    if (mode != "--json" && mode != "--json-predict") continue;
+    const bool predict = mode == "--json-predict";
+    PerfGateArgs gate;
+    try {
+      gate = parse_perf_gate_args(argc, argv,
+                                  predict ? "BENCH_predict.json" : "BENCH_tree_training.json");
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "bench_micro_classifiers: " << e.what() << "\n";
+      return 2;
     }
-    if (std::string(argv[i]) == "--json-predict") {
-      std::vector<std::string> args(argv + 1, argv + argc);
-      return run_predict_json_mode(args);
-    }
+    return predict ? run_predict_json_mode(gate) : run_json_mode(gate);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -7,18 +7,17 @@
 // Both comparisons are exact-equivalence: the harness first verifies the
 // winner and score are identical across every mode, then times them.
 //
-// Flags (same shape as bench_micro_classifiers --json):
+// Flags (the perf gate of perf_gate.h):
 //   --out FILE               output path (default BENCH_model_selection.json)
 //   --baseline FILE          committed baseline with expected speedups
 //   --check-regression F     exit 1 if any speedup drops below
-//                            baseline_speedup / F
+//                            baseline speedup / F, or is not baselined
 //
 // Note: the parallel row's measured scaling is bounded by the host's core
 // count (reported as host_threads in the JSON); the committed baseline
 // encodes what the baseline host could show.
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -27,6 +26,7 @@
 
 #include "data/generators.h"
 #include "ml/model_selection/grid_search.h"
+#include "perf_gate.h"
 
 namespace {
 
@@ -86,30 +86,15 @@ struct Row {
   double speedup() const { return fast_ms > 0.0 ? reference_ms / fast_ms : 0.0; }
 };
 
-/// Pull "speedup_vs_reference" for `name` out of the (small, known-shape)
-/// baseline JSON without a JSON library.  Returns 0 when absent.
-double baseline_speedup(const std::string& json, const std::string& name) {
-  const std::string anchor = "\"name\": \"" + name + "\"";
-  std::size_t at = json.find(anchor);
-  if (at == std::string::npos) return 0.0;
-  const std::string key = "\"speedup_vs_reference\":";
-  at = json.find(key, at);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(json.c_str() + at + key.size(), nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_model_selection.json";
-  std::string baseline_path;
-  double check_factor = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
-    else if (arg == "--baseline" && i + 1 < argc) baseline_path = argv[++i];
-    else if (arg == "--check-regression" && i + 1 < argc)
-      check_factor = std::strtod(argv[++i], nullptr);
+  PerfGateArgs gate;
+  try {
+    gate = parse_perf_gate_args(argc, argv, "BENCH_model_selection.json");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bench_micro_model_selection: " << e.what() << "\n";
+    return 2;
   }
 
   const Dataset ds = workload();
@@ -173,34 +158,8 @@ int main(int argc, char** argv) {
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  std::ofstream out(out_path);
-  out << json.str();
-  out.close();
-  std::cout << "wrote " << out_path << "\n";
-
-  if (!baseline_path.empty() && check_factor > 0.0) {
-    std::ifstream in(baseline_path);
-    if (!in.good()) {
-      std::cerr << "baseline missing: " << baseline_path << "\n";
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
-    int failures = 0;
-    for (const Row& row : rows) {
-      const double expected = baseline_speedup(baseline, row.name);
-      if (expected <= 0.0) continue;
-      const double floor = expected / check_factor;
-      if (row.speedup() < floor) {
-        std::cerr << "REGRESSION " << row.name << ": speedup " << row.speedup()
-                  << "x below floor " << floor << "x (baseline " << expected
-                  << "x / factor " << check_factor << ")\n";
-        ++failures;
-      }
-    }
-    if (failures > 0) return 1;
-    std::cout << "regression check passed (factor " << check_factor << ")\n";
-  }
-  return 0;
+  write_perf_json(gate.out_path, json.str());
+  std::vector<PerfGateRow> gate_rows;
+  for (const Row& row : rows) gate_rows.push_back({row.name, row.speedup()});
+  return check_perf_gate(gate, gate_rows, "speedup_vs_reference");
 }

@@ -1,6 +1,9 @@
 #include "core/study.h"
 
+#include <cstdlib>
+
 #include "data/generators.h"
+#include "util/cli.h"
 #include "util/rng.h"
 
 namespace mlaas {
@@ -22,20 +25,45 @@ MeasurementOptions StudyOptions::measurement_options() const {
   m.seed = seed;
   m.scale = quick ? 0.5 : scale;
   m.threads = threads;
-  m.schedule = parse_schedule(schedule);
   m.verbose = verbose;
   m.trace = trace;
-  m.campaign.fault_rate = fault_rate;
-  m.campaign.quota_profile = quota_profile;
-  m.campaign.retry_budget = retry_budget;
-  m.campaign.chaos_profile = chaos_profile;
-  m.campaign.breaker.enabled = breakers;
-  m.campaign.breaker.failure_threshold = breaker_threshold;
-  m.campaign.breaker.cooldown_seconds = breaker_cooldown;
-  m.campaign.breaker.max_probes = breaker_probes;
-  m.campaign.jitter = jitter;
-  m.campaign.resume = resume;
+  m.campaign = campaign;
   return m;
+}
+
+StudyOptions study_options_from_flags(const CliFlags& flags) {
+  StudyOptions opt;
+  CampaignOptions& c = opt.campaign;
+  if (const char* env = std::getenv("MLAAS_SEED")) {
+    opt.seed = static_cast<std::uint64_t>(parse_int_value("MLAAS_SEED", env));
+  }
+  if (const char* env = std::getenv("MLAAS_SCALE")) {
+    opt.scale = parse_double_value("MLAAS_SCALE", env);
+  }
+  if (const char* env = std::getenv("MLAAS_FAULT_RATE")) {
+    c.fault_rate = parse_double_value("MLAAS_FAULT_RATE", env);
+  }
+  opt.seed = static_cast<std::uint64_t>(flags.int_or("seed", static_cast<long long>(opt.seed)));
+  opt.scale = flags.double_or("scale", opt.scale);
+  opt.threads = static_cast<int>(flags.int_or("threads", opt.threads));
+  opt.quick = flags.bool_or("quick", opt.quick);
+  c.fault_rate = flags.double_or("fault-rate", c.fault_rate);
+  c.quota_profile = flags.get_or("quota-profile", c.quota_profile);
+  c.retry_budget = static_cast<int>(flags.int_or("retry-budget", c.retry_budget));
+  c.chaos_profile = flags.get_or("chaos-profile", c.chaos_profile);
+  c.breaker.enabled = flags.bool_or("breakers", c.breaker.enabled);
+  c.breaker.failure_threshold =
+      static_cast<int>(flags.int_or("breaker-threshold", c.breaker.failure_threshold));
+  c.breaker.cooldown_seconds = flags.double_or("breaker-cooldown", c.breaker.cooldown_seconds);
+  c.breaker.max_probes = static_cast<int>(flags.int_or("breaker-probes", c.breaker.max_probes));
+  c.jitter = flags.bool_or("jitter", c.jitter);
+  c.resume = flags.bool_or("resume", c.resume);
+  if (flags.bool_or("fresh", false)) c.resume = false;
+  // --quick replaces the campaign's grid scale; check --scale as given.
+  MeasurementOptions as_given = opt.measurement_options();
+  as_given.scale = opt.scale;
+  validate(as_given);
+  return opt;
 }
 
 std::string StudyOptions::cache_path() const {

@@ -31,52 +31,41 @@
 
 namespace mlaas {
 
+class CliFlags;
+
 struct StudyOptions {
   std::uint64_t seed = 42;
   double scale = 1.0;        // grid/corpus scaling knob (DESIGN.md)
   bool quick = false;        // tiny corpus for smoke runs
   int threads = 0;           // 0 = hardware concurrency; negative rejected
-  /// Campaign session scheduler: "dynamic" (longest-estimated-first over an
-  /// atomic ticket) or "static" (one chunk per dataset).  Both produce
-  /// byte-identical tables; static is kept for A/B benchmarks.
-  std::string schedule = "dynamic";
   /// Empty disables the on-disk measurement cache.
   std::string cache_path_override;
   bool verbose = true;
-  /// Campaign transport envelope (service simulation): probability of a
-  /// transient request fault, named quota profile and per-request retry
-  /// budget.  See eval/measurement.h's CampaignOptions.
-  double fault_rate = 0.0;
-  std::string quota_profile = "default";
-  int retry_budget = 6;
-  /// Chaos fault schedule injected into every platform session ("none",
-  /// "outages", "bursts", "latency", "storm"); see make_fault_plan.
-  std::string chaos_profile = "none";
-  /// Per-platform circuit breakers in the campaign driver: after
-  /// `breaker_threshold` consecutive cell failures the breaker opens and
-  /// the remaining cells of the session are deferred (excluded from
-  /// aggregation) unless a half-open probe after `breaker_cooldown`
-  /// simulated seconds succeeds.
-  bool breakers = false;
-  int breaker_threshold = 3;
-  double breaker_cooldown = 300.0;
-  int breaker_probes = 2;
-  /// Decorrelated jitter on retry backoff (off by default: keeps campaigns
-  /// bit-reproducible across library versions).
-  bool jitter = false;
-  /// Resume a crashed campaign from its write-ahead journal (on by
-  /// default; set false to force a fresh run).
-  bool resume = true;
   /// Record a deterministic end-to-end trace of the campaign (service
   /// spans, retry waits, breaker transitions; Chrome trace_event JSON via
   /// CampaignResult::trace).  Off by default; does not change any measured
   /// row, report byte, or cache fingerprint.
   bool trace = false;
+  /// Campaign transport envelope (fault rate, quota profile, retry budget,
+  /// chaos profile, circuit breakers, retry jitter, journal resume); see
+  /// eval/measurement.h.  Copied whole into measurement_options().
+  CampaignOptions campaign;
 
   CorpusOptions corpus_options() const;
   MeasurementOptions measurement_options() const;
   std::string cache_path() const;
 };
+
+/// The one binder of the study and campaign flags, shared by every bench
+/// binary and `mlaas_cli campaign`:
+///   --seed N (MLAAS_SEED)  --scale X (MLAAS_SCALE)  --threads N  --quick
+///   --fault-rate F (MLAAS_FAULT_RATE)  --quota-profile P  --retry-budget K
+///   --chaos-profile P  --breakers  --breaker-threshold N
+///   --breaker-cooldown S  --breaker-probes N  --jitter  --resume | --fresh
+/// Environment variables supply defaults that flags override.  Values are
+/// range-checked through validate(MeasurementOptions), so a bad flag throws
+/// std::invalid_argument naming it before any campaign work starts.
+StudyOptions study_options_from_flags(const CliFlags& flags);
 
 class Study {
  public:

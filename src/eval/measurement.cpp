@@ -234,17 +234,6 @@ MeasurementTable MeasurementTable::load_csv(const std::string& path,
   return table;
 }
 
-Schedule parse_schedule(const std::string& name) {
-  if (name == "static") return Schedule::kStatic;
-  if (name == "dynamic") return Schedule::kDynamic;
-  throw std::invalid_argument("unknown schedule '" + name +
-                              "' (expected 'static' or 'dynamic')");
-}
-
-const char* to_string(Schedule schedule) {
-  return schedule == Schedule::kStatic ? "static" : "dynamic";
-}
-
 double SchedulerStats::busy_seconds() const {
   return std::accumulate(worker_busy_seconds.begin(), worker_busy_seconds.end(), 0.0);
 }
@@ -274,6 +263,28 @@ RetryPolicy CampaignOptions::retry_policy(std::uint64_t session_seed) const {
   policy.jitter = jitter;
   policy.jitter_seed = session_seed;
   return policy;
+}
+
+void validate(const MeasurementOptions& options) {
+  // `!(x >= lo)` instead of `x < lo` so NaN fails validation too.
+  if (options.threads < 0) {
+    throw std::invalid_argument("--threads must be >= 0 (0 = hardware concurrency), got " +
+                                std::to_string(options.threads));
+  }
+  if (!(options.scale > 0.0) || !std::isfinite(options.scale)) {
+    throw std::invalid_argument("--scale must be a finite value > 0");
+  }
+  const CampaignOptions& c = options.campaign;
+  if (!(c.fault_rate >= 0.0 && c.fault_rate <= 1.0)) {
+    throw std::invalid_argument("--fault-rate must be in [0, 1]");
+  }
+  if (c.retry_budget < 1) {
+    throw std::invalid_argument("--retry-budget must be >= 1, got " +
+                                std::to_string(c.retry_budget));
+  }
+  // Checked even with breakers off, as the flag parsers always did: a bad
+  // value is a usage error whether or not it ends up being used.
+  validate(c.breaker);
 }
 
 void PlatformCampaignStats::merge(const PlatformCampaignStats& other) {
@@ -380,7 +391,7 @@ void write_scheduler_row(std::ostream& out, const SchedulerStats& s) {
       << "\tworker_busy_sec=" << encode_worker_busy(s.worker_busy_seconds) << '\n';
 }
 
-bool parse_scheduler_row(const std::string& line, SchedulerStats* s) {
+bool read_scheduler_row(const std::string& line, SchedulerStats* s) {
   std::istringstream fields(line.substr(std::string(kSchedulerPrefix).size()));
   std::string field;
   try {
@@ -412,21 +423,6 @@ bool parse_scheduler_row(const std::string& line, SchedulerStats* s) {
     return false;
   }
   return true;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -511,7 +507,7 @@ std::optional<CampaignReport> CampaignReport::load_tsv(const std::string& path) 
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     if (line.rfind(kSchedulerPrefix, 0) == 0) {
-      if (!parse_scheduler_row(line, &report.scheduler)) return std::nullopt;
+      if (!read_scheduler_row(line, &report.scheduler)) return std::nullopt;
       continue;
     }
     if (line.rfind(kTracePrefix, 0) == 0) {
@@ -867,8 +863,8 @@ void run_session(const Dataset& dataset, const TrainTestSplit& split,
 
 /// Serializes completed session blocks into the journal in canonical session
 /// order (dataset-major, platform-minor) no matter which worker finishes
-/// first, so the journal bytes are identical for every thread count,
-/// schedule and steal order.  A session completed out of order is buffered
+/// first, so the journal bytes are identical for every thread count and
+/// steal order.  A session completed out of order is buffered
 /// until its predecessors flush; on a crash such buffered sessions simply
 /// re-run — the resume unit is unchanged.
 class OrderedJournalWriter {
@@ -945,7 +941,7 @@ std::optional<Measurement> measure_one(const Dataset& dataset, const Platform& p
     return std::nullopt;  // config outside this platform's surface
   } catch (const std::exception& e) {
     // Any other platform error becomes a failure row instead of unwinding
-    // through ThreadPool::parallel_for and killing the whole campaign.
+    // through ThreadPool::parallel_for_dynamic and killing the whole campaign.
     m.ok = false;
     m.failure = sanitize_failure(std::string("exception:") + e.what());
     m.test = {};
@@ -957,10 +953,7 @@ std::optional<Measurement> measure_one(const Dataset& dataset, const Platform& p
 CampaignResult run_campaign(const std::vector<Dataset>& corpus,
                             const std::vector<PlatformPtr>& platforms,
                             const MeasurementOptions& options) {
-  if (options.threads < 0) {
-    throw std::invalid_argument("run_campaign: threads must be >= 0 (0 = hardware "
-                                "concurrency), got " + std::to_string(options.threads));
-  }
+  validate(options);
   // Pre-enumerate configs and their row metadata once per platform, and
   // resolve quota profiles eagerly: an unknown profile or chaos profile must
   // throw here, in the caller's thread, not inside a pool worker.
@@ -999,8 +992,8 @@ CampaignResult run_campaign(const std::vector<Dataset>& corpus,
   // session — the finest grain that stays deterministic, since every session
   // owns an independently seeded service stream.  Results land in
   // preallocated per-session slots and are assembled in canonical order
-  // below, so the table is byte-identical for every thread count, schedule
-  // and steal order.
+  // below, so the table is byte-identical for every thread count and steal
+  // order.
   const std::size_t n_platforms = platforms.size();
   const std::size_t n_sessions = corpus.size() * n_platforms;
   std::vector<MeasurementTable> slots(n_sessions);
@@ -1093,35 +1086,21 @@ CampaignResult run_campaign(const std::vector<Dataset>& corpus,
 
   ThreadPool pool(options.threads == 0 ? 0 : static_cast<std::size_t>(options.threads));
   ParallelStats dispatch;
-  if (options.schedule == Schedule::kStatic) {
-    // The pre-scheduler granularity: one work item per dataset, its
-    // platform sessions run back to back.  Kept for A/B benchmarks — one
-    // slow dataset serializes its whole platform sweep on one worker.
-    pool.parallel_for(
-        corpus.size(),
-        [&](std::size_t d) {
-          for (std::size_t p = 0; p < n_platforms; ++p) {
-            run_session_slot(d * n_platforms + p);
-          }
-        },
-        &dispatch);
-  } else {
-    // Dynamic: sessions dispatched longest-estimated-first over an atomic
-    // ticket.  The estimate (configs x samples) orders the big sessions
-    // ahead of the tail so no worker is left holding one at the end.
-    std::vector<std::size_t> order(n_sessions);
-    std::iota(order.begin(), order.end(), 0);
-    std::vector<std::uint64_t> estimate(n_sessions);
-    for (std::size_t s = 0; s < n_sessions; ++s) {
-      estimate[s] = static_cast<std::uint64_t>(cells[s % n_platforms].size()) *
-                    static_cast<std::uint64_t>(corpus[s / n_platforms].n_samples());
-    }
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return estimate[a] > estimate[b];
-    });
-    pool.parallel_for_dynamic(
-        n_sessions, [&](std::size_t k) { run_session_slot(order[k]); }, &dispatch);
+  // Sessions are dispatched longest-estimated-first over an atomic ticket.
+  // The estimate (configs x samples) orders the big sessions ahead of the
+  // tail so no worker is left holding one at the end.
+  std::vector<std::size_t> order(n_sessions);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::uint64_t> estimate(n_sessions);
+  for (std::size_t s = 0; s < n_sessions; ++s) {
+    estimate[s] = static_cast<std::uint64_t>(cells[s % n_platforms].size()) *
+                  static_cast<std::uint64_t>(corpus[s / n_platforms].n_samples());
   }
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return estimate[a] > estimate[b];
+  });
+  pool.parallel_for_dynamic(
+      n_sessions, [&](std::size_t k) { run_session_slot(order[k]); }, &dispatch);
 
   CampaignResult result;
   for (const auto& t : slots) result.table.append(t);
@@ -1132,7 +1111,6 @@ CampaignResult run_campaign(const std::vector<Dataset>& corpus,
       result.report.platforms[p].merge(slot_stats[d * n_platforms + p]);
     }
   }
-  result.report.scheduler.schedule = to_string(options.schedule);
   result.report.scheduler.workers = pool.size();
   result.report.scheduler.sessions = n_sessions;
   result.report.scheduler.sessions_stolen = dispatch.stolen;

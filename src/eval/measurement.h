@@ -132,9 +132,10 @@ Measurement measurement_row_from_tsv(const std::string& line, const std::string&
 // scoped to one session so campaigns stay deterministic under any thread
 // count.
 
-/// Operational knobs of the campaign transport (ISSUE: fault rate, quota
-/// profile, retry budget, chaos schedule, breakers, journal) — threaded from
-/// StudyOptions and the CLI down to every per-cell service session.
+/// Operational knobs of the campaign transport (fault rate, quota profile,
+/// retry budget, chaos schedule, breakers, journal) — held whole by
+/// StudyOptions::campaign, bound from flags by study_options_from_flags and
+/// passed down to every per-cell service session.
 struct CampaignOptions {
   /// Probability any simulated request fails transiently.
   double fault_rate = 0.0;
@@ -172,20 +173,6 @@ struct CampaignOptions {
   RetryPolicy retry_policy(std::uint64_t session_seed) const;
 };
 
-/// How run_campaign distributes (dataset, platform) sessions over the pool.
-///   kStatic  — the pre-scheduler behaviour: one work item per dataset,
-///              statically chunked; kept for comparison benchmarks.
-///   kDynamic — one work item per session, dispatched longest-estimated-first
-///              through ThreadPool::parallel_for_dynamic's atomic ticket.
-/// The measured table is byte-identical either way (sessions are
-/// independently seeded and results land in preallocated slots); only the
-/// wall-clock and the scheduler telemetry differ.
-enum class Schedule { kStatic, kDynamic };
-
-/// Parse "static" / "dynamic"; throws std::invalid_argument otherwise.
-Schedule parse_schedule(const std::string& name);
-const char* to_string(Schedule schedule);
-
 struct MeasurementOptions {
   std::uint64_t seed = 42;
   /// Multiplies the per-classifier parameter-grid cap and the joint sample
@@ -195,7 +182,6 @@ struct MeasurementOptions {
   std::size_t joint_sample = 40;      // extra FEAT x CLF x PARA joint draws (scaled)
   double test_fraction = 0.3;         // §3.1's 70/30 split
   int threads = 0;                    // 0 = hardware concurrency; < 0 rejected
-  Schedule schedule = Schedule::kDynamic;  // session dispatch policy
   bool verbose = false;
   /// Record a deterministic end-to-end trace of every session (service
   /// spans, retry waits, breaker transitions) — one TraceTrack per session,
@@ -213,6 +199,14 @@ struct MeasurementOptions {
   bool reuse_train_state = true;
   CampaignOptions campaign;           // service-transport envelope
 };
+
+/// Range checks of the campaign knobs: threads >= 0, a finite scale > 0,
+/// fault rate in [0, 1], retry budget >= 1 and the breaker fields (checked
+/// whether or not breakers are enabled).  Throws std::invalid_argument
+/// naming the offending flag.  run_campaign calls it before any work
+/// starts, and study_options_from_flags calls it so bad flags fail at parse
+/// time.
+void validate(const MeasurementOptions& options);
 
 /// Per-platform campaign telemetry: merged service counters plus cell
 /// accounting, aggregated across every (dataset, platform) session.
@@ -261,7 +255,9 @@ struct PlatformCampaignStats {
 /// describe the run, not the measurements, and are excluded from every
 /// determinism comparison.
 struct SchedulerStats {
-  std::string schedule = "static";   // "static" or "dynamic"
+  /// Always "dynamic" (the one dispatch policy); kept so report TSV/JSON
+  /// bytes and older sidecars stay stable.
+  std::string schedule = "dynamic";
   std::size_t workers = 0;           // pool size actually used
   std::size_t sessions = 0;          // (dataset, platform) work items
   std::size_t sessions_stolen = 0;   // sessions run off their static-owner worker
@@ -327,11 +323,12 @@ struct CampaignResult {
 /// Run the full study through the simulated service layer: every platform
 /// on every corpus dataset, one MlaasService session per (dataset,
 /// platform) cell, upload/train/predict with retries.  Deterministic in
-/// (options, corpus, platforms) regardless of thread count, schedule and
-/// steal order: sessions are independently seeded, write into preallocated
+/// (options, corpus, platforms) regardless of thread count and steal
+/// order: sessions are independently seeded, write into preallocated
 /// per-session slots, and the per-dataset split is computed once behind a
 /// std::call_once.  With campaign.fault_rate == 0 the measurements are
-/// identical to direct Platform::train calls.
+/// identical to direct Platform::train calls.  Throws std::invalid_argument
+/// (see validate) before any work when an option is out of range.
 ///
 /// Crash safety: with campaign.journal_path set, every finished cell is
 /// appended to an fsync'd write-ahead journal and every finished session

@@ -1,8 +1,25 @@
 #include "platform/breaker.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace mlaas {
+
+void validate(const BreakerOptions& options) {
+  if (options.failure_threshold < 1) {
+    throw std::invalid_argument("--breaker-threshold must be >= 1, got " +
+                                std::to_string(options.failure_threshold));
+  }
+  if (!(options.cooldown_seconds >= 0.0) || !std::isfinite(options.cooldown_seconds)) {
+    throw std::invalid_argument("--breaker-cooldown must be a finite value >= 0");
+  }
+  if (options.max_probes < 0) {
+    throw std::invalid_argument("--breaker-probes must be >= 0, got " +
+                                std::to_string(options.max_probes));
+  }
+}
 
 CircuitBreaker::Decision CircuitBreaker::admit(double now) const {
   if (!options_.enabled || !open_) return Decision::kProceed;

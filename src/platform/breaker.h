@@ -30,6 +30,12 @@ struct BreakerOptions {
   int max_probes = 2;             // failed probes before latching open
 };
 
+/// Range checks shared by the campaign and serving validators: threshold
+/// >= 1, a finite cooldown >= 0 and probes >= 0.  Throws
+/// std::invalid_argument naming the flag.  `enabled` is not consulted; each
+/// caller decides whether disabled knobs are checked.
+void validate(const BreakerOptions& options);
+
 class CircuitBreaker {
  public:
   enum class Decision {

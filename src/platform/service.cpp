@@ -155,19 +155,19 @@ ServiceQuota quota_profile(const std::string& profile, const std::string& platfo
     // Plausible per-provider envelopes: big clouds are fast but strictly
     // limited; startups are slower; Local is the in-house baseline.
     if (platform == "Google") {
-      q = {100, 60.0, 0, 0.0, 0.5, 5e-4};
+      q = {100, 60.0, 0, 0.0, 0.5, 5e-4, {}};
     } else if (platform == "ABM") {
-      q = {20, 60.0, 0, 0.0, 2.0, 2e-3};
+      q = {20, 60.0, 0, 0.0, 2.0, 2e-3, {}};
     } else if (platform == "Amazon") {
-      q = {100, 60.0, 0, 0.0, 1.0, 5e-4};
+      q = {100, 60.0, 0, 0.0, 1.0, 5e-4, {}};
     } else if (platform == "BigML") {
-      q = {60, 60.0, 0, 0.0, 1.0, 1e-3};
+      q = {60, 60.0, 0, 0.0, 1.0, 1e-3, {}};
     } else if (platform == "PredictionIO") {
-      q = {60, 60.0, 0, 0.0, 1.5, 1e-3};
+      q = {60, 60.0, 0, 0.0, 1.5, 1e-3, {}};
     } else if (platform == "Microsoft") {
-      q = {120, 60.0, 0, 0.0, 2.0, 1e-3};
+      q = {120, 60.0, 0, 0.0, 2.0, 1e-3, {}};
     } else {  // Local and anything unknown: effectively unconstrained
-      q = {100000, 60.0, 0, 0.0, 0.0, 1e-5};
+      q = {100000, 60.0, 0, 0.0, 0.0, 1e-5, {}};
     }
     if (profile == "free-tier") q.max_training_jobs = 10;
     return q;

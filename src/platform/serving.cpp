@@ -146,21 +146,6 @@ void write_tenant_row(std::ostream& out, const TenantServingStats& t) {
   out << '\n';
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 void write_latency_json(std::ostream& out, const LatencyHistogram& h) {
   out << "{\"mean\": " << h.mean_seconds() * 1000.0
       << ", \"p50\": " << h.quantile(0.50) * 1000.0
@@ -310,17 +295,8 @@ void validate_serving_options(const ServingOptions& o) {
   if (o.retry.max_attempts < 1) {
     throw std::invalid_argument("serving: retry attempts must be >= 1");
   }
-  if (o.breaker.enabled) {
-    if (o.breaker.failure_threshold < 1) {
-      throw std::invalid_argument("serving: --breaker-threshold must be >= 1");
-    }
-    if (!(o.breaker.cooldown_seconds >= 0.0)) {
-      throw std::invalid_argument("serving: --breaker-cooldown must be >= 0");
-    }
-    if (o.breaker.max_probes < 0) {
-      throw std::invalid_argument("serving: --breaker-probes must be >= 0");
-    }
-  }
+  // Disabled breakers are never constructed, so their knobs stay unchecked.
+  if (o.breaker.enabled) validate(o.breaker);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-// Tiny command-line flag parser shared by bench/example binaries.
+// Tiny command-line flag parser shared by bench/example/tool binaries.
 //
-// Supports "--name value" and "--name=value"; unknown flags raise an error so
-// typos are caught.  Also reads MLAAS_SCALE / MLAAS_SEED environment
-// variables as defaults for the common knobs.
+// Supports "--name value" and "--name=value"; a flag with no value reads as
+// "true".  Unknown flags are not rejected: each binary reads the flags it
+// knows and ignores the rest.  Values are strict: a typed read of a value
+// that does not parse in full ("12abc" as an integer, "0.5x" as a number,
+// "flase" as a boolean) throws std::invalid_argument naming the flag.  The
+// campaign knobs shared by every bench binary and `mlaas_cli campaign` are
+// bound in one place, study_options_from_flags (core/study.h).
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,27 +30,12 @@ class CliFlags {
   std::map<std::string, std::string> flags_;
 };
 
-/// Common bench configuration derived from flags + environment.
-struct BenchOptions {
-  std::uint64_t seed = 42;      // --seed / MLAAS_SEED
-  double scale = 1.0;           // --scale / MLAAS_SCALE: grid & corpus scaling
-  int threads = 0;              // --threads (0 = hardware; negative rejected)
-  std::string schedule = "dynamic";  // --schedule: static|dynamic session dispatch
-  bool quick = false;           // --quick: tiny corpus for smoke runs
-  // Campaign transport envelope (service simulation):
-  double fault_rate = 0.0;          // --fault-rate / MLAAS_FAULT_RATE
-  std::string quota_profile = "default";  // --quota-profile
-  int retry_budget = 6;             // --retry-budget: attempts per request
-  // Resilience knobs (chaos schedules, circuit breakers, retry jitter):
-  std::string chaos_profile = "none";  // --chaos-profile: none|outages|bursts|latency|storm
-  bool breakers = false;            // --breakers: per-platform circuit breakers
-  int breaker_threshold = 3;        // --breaker-threshold: failures before opening
-  double breaker_cooldown = 300.0;  // --breaker-cooldown: seconds before half-open probe
-  int breaker_probes = 2;           // --breaker-probes: half-open probes before latching
-  bool jitter = false;              // --jitter: decorrelated backoff jitter
-  bool resume = true;               // --resume / --fresh: journal resume on crash
-};
-
-BenchOptions parse_bench_options(int argc, const char* const* argv);
+/// Strict value parsers behind CliFlags' typed reads, also used for
+/// environment defaults.  The whole `value` must parse; otherwise they throw
+/// std::invalid_argument starting with `source` (e.g. "--seed" or
+/// "MLAAS_SEED").  Booleans accept true/false, 1/0 and yes/no.
+long long parse_int_value(const std::string& source, const std::string& value);
+double parse_double_value(const std::string& source, const std::string& value);
+bool parse_bool_value(const std::string& source, const std::string& value);
 
 }  // namespace mlaas

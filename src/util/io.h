@@ -20,4 +20,8 @@ std::ofstream open_sidecar(const std::string& path, const char* what);
 /// when any write failed (full disk, I/O error, unwritable device).
 void finish_sidecar(std::ofstream& out, const std::string& path, const char* what);
 
+/// JSON string-body escape shared by every JSON writer: quotes, backslashes
+/// and control characters (\n, \r, \t; the rest as \u00XX).
+std::string json_escape(const std::string& s);
+
 }  // namespace mlaas

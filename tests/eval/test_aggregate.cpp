@@ -38,16 +38,16 @@ TEST(Aggregate, BaselineUsesDefaultLrRows) {
   const auto summaries = baseline_summary(demo_table());
   ASSERT_EQ(summaries.size(), 2u);
   for (const auto& s : summaries) {
-    if (s.platform == "P1") EXPECT_NEAR(s.avg.f_score, 0.6, 1e-12);
-    if (s.platform == "P2") EXPECT_NEAR(s.avg.f_score, 0.7, 1e-12);
+    if (s.platform == "P1") { EXPECT_NEAR(s.avg.f_score, 0.6, 1e-12); }
+    if (s.platform == "P2") { EXPECT_NEAR(s.avg.f_score, 0.7, 1e-12); }
   }
 }
 
 TEST(Aggregate, OptimizedTakesBestPerDataset) {
   const auto summaries = optimized_summary(demo_table());
   for (const auto& s : summaries) {
-    if (s.platform == "P1") EXPECT_NEAR(s.avg.f_score, 0.9, 1e-12);
-    if (s.platform == "P2") EXPECT_NEAR(s.avg.f_score, 0.7, 1e-12);
+    if (s.platform == "P1") { EXPECT_NEAR(s.avg.f_score, 0.9, 1e-12); }
+    if (s.platform == "P2") { EXPECT_NEAR(s.avg.f_score, 0.7, 1e-12); }
   }
 }
 

@@ -1,12 +1,13 @@
 // The session-level campaign scheduler: the measurement table and the
-// write-ahead journal must be byte-identical for every thread count, for
-// both schedules, and under chaos + breakers — the scheduler moves work
-// between workers, never results.  Train-CPU seconds are the one
+// write-ahead journal must be byte-identical for every thread count (each a
+// different steal schedule) and under chaos + breakers — the scheduler moves
+// work between workers, never results.  Train-CPU seconds are the one
 // run-to-run nondeterministic column and are masked before comparing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,8 +30,8 @@ MeasurementOptions fast_options() {
   return opt;
 }
 
-// Skewed on purpose: the large dataset is where static chunking and dynamic
-// stealing schedule sessions most differently.
+// Skewed on purpose: the large dataset is where thread counts change the
+// steal schedule most.
 std::vector<Dataset> skewed_corpus() {
   std::vector<Dataset> corpus;
   corpus.push_back(make_blobs(60, 3, 1.0, 5.0, 1));
@@ -103,21 +104,19 @@ struct RunArtifacts {
   SchedulerStats scheduler;
 };
 
-RunArtifacts run_once(const MeasurementOptions& base, int threads, Schedule schedule) {
+RunArtifacts run_once(const MeasurementOptions& base, int threads) {
   // The journal path embeds the running test's name: several tests in this
-  // file call run_once with the same (threads, schedule) pair, and ctest runs
+  // file call run_once with the same thread count, and ctest runs
   // them as concurrent processes sharing TempDir — a fixed name lets one
   // test std::remove the journal another is about to read.
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
   const std::string path = ::testing::TempDir() + "/scheduler_det_" +
                            (info ? info->name() : "unknown") + "_t" +
-                           std::to_string(threads) + "_" + to_string(schedule) +
-                           ".journal";
+                           std::to_string(threads) + ".journal";
   std::remove(path.c_str());
   MeasurementOptions opt = base;
   opt.threads = threads;
-  opt.schedule = schedule;
   opt.campaign.journal_path = path;
   const CampaignResult result = run_campaign(skewed_corpus(), small_roster(), opt);
   RunArtifacts artifacts{masked_table(result.table), masked_journal(path),
@@ -126,25 +125,19 @@ RunArtifacts run_once(const MeasurementOptions& base, int threads, Schedule sche
   return artifacts;
 }
 
-void expect_identical_across_schedules(const MeasurementOptions& base) {
-  const RunArtifacts reference = run_once(base, 1, Schedule::kStatic);
+void expect_identical_across_threads(const MeasurementOptions& base) {
+  const RunArtifacts reference = run_once(base, 1);
   ASSERT_FALSE(reference.table.empty());
   ASSERT_FALSE(reference.journal.empty());
-  for (const int threads : {1, 4, 16}) {
-    for (const Schedule schedule : {Schedule::kStatic, Schedule::kDynamic}) {
-      if (threads == 1 && schedule == Schedule::kStatic) continue;
-      const RunArtifacts run = run_once(base, threads, schedule);
-      EXPECT_EQ(run.table, reference.table)
-          << "table differs at threads=" << threads << " schedule=" << to_string(schedule);
-      EXPECT_EQ(run.journal, reference.journal)
-          << "journal differs at threads=" << threads
-          << " schedule=" << to_string(schedule);
-    }
+  for (const int threads : {2, 4, 16}) {
+    const RunArtifacts run = run_once(base, threads);
+    EXPECT_EQ(run.table, reference.table) << "table differs at threads=" << threads;
+    EXPECT_EQ(run.journal, reference.journal) << "journal differs at threads=" << threads;
   }
 }
 
 TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossThreadsAndSchedules) {
-  expect_identical_across_schedules(fast_options());
+  expect_identical_across_threads(fast_options());
 }
 
 TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossTreeBuilders) {
@@ -154,10 +147,10 @@ TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossTreeBuilders) {
   // path every earlier campaign used).
   const MeasurementOptions opt = fast_options();
   set_active_tree_builder(TreeBuilder::kReference);
-  const RunArtifacts reference = run_once(opt, 2, Schedule::kStatic);
+  const RunArtifacts reference = run_once(opt, 2);
   set_active_tree_builder(TreeBuilder::kFast);
   ASSERT_FALSE(reference.table.empty());
-  const RunArtifacts fast = run_once(opt, 2, Schedule::kStatic);
+  const RunArtifacts fast = run_once(opt, 2);
   EXPECT_EQ(fast.table, reference.table);
   EXPECT_EQ(fast.journal, reference.journal);
 }
@@ -169,11 +162,11 @@ TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossTrainStateReuse) {
   // masked table and journal bytes must not move.
   MeasurementOptions fresh = fast_options();
   fresh.reuse_train_state = false;
-  const RunArtifacts reference = run_once(fresh, 2, Schedule::kStatic);
+  const RunArtifacts reference = run_once(fresh, 2);
   ASSERT_FALSE(reference.table.empty());
   MeasurementOptions reused = fast_options();
   reused.reuse_train_state = true;
-  const RunArtifacts run = run_once(reused, 2, Schedule::kStatic);
+  const RunArtifacts run = run_once(reused, 2);
   EXPECT_EQ(run.table, reference.table);
   EXPECT_EQ(run.journal, reference.journal);
 }
@@ -184,10 +177,10 @@ TEST(CampaignScheduler, TableAndJournalBytesInvariantAcrossPredictKernels) {
   // the same masked table and journal bytes as the flat default.
   const MeasurementOptions opt = fast_options();
   set_active_predict_kernel(PredictKernel::kReference);
-  const RunArtifacts reference = run_once(opt, 2, Schedule::kStatic);
+  const RunArtifacts reference = run_once(opt, 2);
   set_active_predict_kernel(PredictKernel::kFlat);
   ASSERT_FALSE(reference.table.empty());
-  const RunArtifacts flat = run_once(opt, 2, Schedule::kStatic);
+  const RunArtifacts flat = run_once(opt, 2);
   EXPECT_EQ(flat.table, reference.table);
   EXPECT_EQ(flat.journal, reference.journal);
 }
@@ -198,13 +191,12 @@ TEST(CampaignScheduler, InvariantUnderFaultsChaosAndBreakers) {
   opt.campaign.retry_budget = 2;
   opt.campaign.chaos_profile = "storm";
   opt.campaign.breaker.enabled = true;
-  expect_identical_across_schedules(opt);
+  expect_identical_across_threads(opt);
 }
 
 TEST(CampaignScheduler, ReportsSchedulerTelemetry) {
   MeasurementOptions opt = fast_options();
   opt.threads = 2;
-  opt.schedule = Schedule::kDynamic;
   const CampaignResult result = run_campaign(skewed_corpus(), small_roster(), opt);
   const SchedulerStats& s = result.report.scheduler;
   EXPECT_EQ(s.schedule, "dynamic");
@@ -216,27 +208,40 @@ TEST(CampaignScheduler, ReportsSchedulerTelemetry) {
   EXPECT_GE(s.busy_seconds(), 0.0);
 }
 
-TEST(CampaignScheduler, StaticScheduleReportsItself) {
-  MeasurementOptions opt = fast_options();
-  opt.threads = 2;
-  opt.schedule = Schedule::kStatic;
-  const CampaignResult result = run_campaign(skewed_corpus(), small_roster(), opt);
-  EXPECT_EQ(result.report.scheduler.schedule, "static");
-  EXPECT_EQ(result.report.scheduler.sessions_stolen, 0u);
-}
-
-TEST(CampaignScheduler, ParseScheduleRejectsUnknownNames) {
-  EXPECT_EQ(parse_schedule("static"), Schedule::kStatic);
-  EXPECT_EQ(parse_schedule("dynamic"), Schedule::kDynamic);
-  EXPECT_THROW(parse_schedule("stolen"), std::invalid_argument);
-  EXPECT_THROW(parse_schedule(""), std::invalid_argument);
-}
-
 TEST(CampaignScheduler, NegativeThreadCountIsRejected) {
   MeasurementOptions opt = fast_options();
   opt.threads = -1;
   EXPECT_THROW(run_campaign(skewed_corpus(), small_roster(), opt),
                std::invalid_argument);
+}
+
+// Embedders that bypass the flag binder get the same range checks from
+// run_campaign itself, before any session runs.
+void expect_campaign_rejects(const MeasurementOptions& opt, const std::string& flag) {
+  try {
+    run_campaign(skewed_corpus(), small_roster(), opt);
+    FAIL() << "expected std::invalid_argument naming " << flag;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+  }
+}
+
+TEST(CampaignScheduler, FaultRateAboveOneIsRejected) {
+  MeasurementOptions opt = fast_options();
+  opt.campaign.fault_rate = 1.5;
+  expect_campaign_rejects(opt, "--fault-rate");
+}
+
+TEST(CampaignScheduler, ZeroRetryBudgetIsRejected) {
+  MeasurementOptions opt = fast_options();
+  opt.campaign.retry_budget = 0;
+  expect_campaign_rejects(opt, "--retry-budget");
+}
+
+TEST(CampaignScheduler, NanBreakerCooldownIsRejected) {
+  MeasurementOptions opt = fast_options();
+  opt.campaign.breaker.cooldown_seconds = std::numeric_limits<double>::quiet_NaN();
+  expect_campaign_rejects(opt, "--breaker-cooldown");
 }
 
 }  // namespace

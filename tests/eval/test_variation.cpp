@@ -67,7 +67,7 @@ TEST(Variation, DimensionNormalization) {
       EXPECT_NEAR(d.range, 0.2, 1e-9);
       EXPECT_NEAR(d.normalized_range, 0.5, 1e-9);
     }
-    if (d.dimension == ControlDimension::kFeat) EXPECT_FALSE(d.supported);
+    if (d.dimension == ControlDimension::kFeat) { EXPECT_FALSE(d.supported); }
   }
 }
 

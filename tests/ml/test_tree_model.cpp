@@ -56,7 +56,7 @@ TEST(TreeModel, MinSamplesLeafRespected) {
   TreeModel tree;
   tree.fit(ds.x(), binary_targets(ds.y()), {}, opt);
   for (const auto& node : tree.nodes()) {
-    if (node.feature < 0) EXPECT_GE(node.n_samples, 25u);
+    if (node.feature < 0) { EXPECT_GE(node.n_samples, 25u); }
   }
 }
 

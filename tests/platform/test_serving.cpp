@@ -608,7 +608,7 @@ TEST(ChaosServingTest, StormResolvesEveryRequestAndRerunsAreByteIdentical) {
       const QueryResult& r = a.results[i];
       EXPECT_TRUE(r.done) << "chunk=" << chunk << " ticket=" << i;
       EXPECT_NE(r.outcome, QueryOutcome::kPending) << "chunk=" << chunk;
-      if (r.ok) EXPECT_FALSE(r.labels.empty());
+      if (r.ok) { EXPECT_FALSE(r.labels.empty()); }
     }
     // The resolved requests partition into the SLO buckets exactly.
     EXPECT_EQ(a.stats.requests,

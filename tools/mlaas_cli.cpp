@@ -13,7 +13,6 @@
 //   mlaas_cli corpus --out DIR [--seed 42] [--n 119]
 //       Write the synthetic study corpus as CSV files.
 //   mlaas_cli campaign [--quick] [--seed 42] [--scale 1] [--threads N]
-//              [--schedule static|dynamic]
 //              [--fault-rate 0.1] [--quota-profile strict] [--retry-budget 6]
 //              [--chaos-profile storm] [--breakers] [--breaker-threshold 3]
 //              [--breaker-cooldown 300] [--breaker-probes 2] [--jitter]
@@ -23,6 +22,9 @@
 //       and print/write the per-platform telemetry report.  Finished cells
 //       are journaled to PATH (write-ahead, fsync'd); an interrupted
 //       campaign resumes from the journal on the next run unless --fresh.
+//       The study and campaign flags are bound by study_options_from_flags
+//       (core/study.h), shared with every bench binary; --verbose (default
+//       off), --journal, --out, --json and --trace-out are this command's.
 //   mlaas_cli serve-bench [--tenants 6] [--platforms Local,Google,...]
 //              [--requests 2000] [--rate 50] [--closed-loop] [--clients 8]
 //              [--batch 64] [--linger 0.05] [--cache-capacity 8]
@@ -164,57 +166,8 @@ int cmd_corpus(const CliFlags& flags) {
 }
 
 int cmd_campaign(const CliFlags& flags) {
-  StudyOptions opt;
-  opt.seed = static_cast<std::uint64_t>(flags.int_or("seed", 42));
-  opt.scale = flags.double_or("scale", 1.0);
-  opt.quick = flags.bool_or("quick", false);
-  opt.threads = static_cast<int>(flags.int_or("threads", 0));
-  if (opt.threads < 0) {
-    throw std::invalid_argument("--threads must be >= 0 (0 = hardware concurrency), got " +
-                                std::to_string(opt.threads));
-  }
-  opt.schedule = flags.get_or("schedule", "dynamic");
-  if (opt.schedule != "static" && opt.schedule != "dynamic") {
-    throw std::invalid_argument("--schedule must be 'static' or 'dynamic', got '" +
-                                opt.schedule + "'");
-  }
+  StudyOptions opt = study_options_from_flags(flags);
   opt.verbose = flags.bool_or("verbose", false);
-  // Parse-time validation, mirroring the --threads fix above: every knob
-  // below used to flow unchecked into the campaign, where nonsense values
-  // (fault rate above 1, zero retry budget) ran a silently degenerate
-  // campaign instead of failing the invocation.
-  if (!(opt.scale > 0.0) || !std::isfinite(opt.scale)) {
-    throw std::invalid_argument("--scale must be a finite value > 0");
-  }
-  opt.fault_rate = flags.double_or("fault-rate", 0.0);
-  if (!(opt.fault_rate >= 0.0 && opt.fault_rate <= 1.0)) {
-    throw std::invalid_argument("--fault-rate must be in [0, 1]");
-  }
-  opt.quota_profile = flags.get_or("quota-profile", "default");
-  opt.retry_budget = static_cast<int>(flags.int_or("retry-budget", 6));
-  if (opt.retry_budget < 1) {
-    throw std::invalid_argument("--retry-budget must be >= 1, got " +
-                                std::to_string(opt.retry_budget));
-  }
-  opt.chaos_profile = flags.get_or("chaos-profile", "none");
-  opt.breakers = flags.bool_or("breakers", false);
-  opt.breaker_threshold = static_cast<int>(flags.int_or("breaker-threshold", 3));
-  if (opt.breaker_threshold < 1) {
-    throw std::invalid_argument("--breaker-threshold must be >= 1, got " +
-                                std::to_string(opt.breaker_threshold));
-  }
-  opt.breaker_cooldown = flags.double_or("breaker-cooldown", 300.0);
-  if (!(opt.breaker_cooldown >= 0.0) || !std::isfinite(opt.breaker_cooldown)) {
-    throw std::invalid_argument("--breaker-cooldown must be a finite value >= 0");
-  }
-  opt.breaker_probes = static_cast<int>(flags.int_or("breaker-probes", 2));
-  if (opt.breaker_probes < 0) {
-    throw std::invalid_argument("--breaker-probes must be >= 0, got " +
-                                std::to_string(opt.breaker_probes));
-  }
-  opt.jitter = flags.bool_or("jitter", false);
-  opt.resume = flags.bool_or("resume", true);
-  if (flags.bool_or("fresh", false)) opt.resume = false;
   const auto trace_out = flags.get("trace-out");
   opt.trace = trace_out.has_value();
 
