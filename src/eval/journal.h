@@ -60,21 +60,13 @@ class CellJournal {
   CellJournal(const CellJournal&) = delete;
   CellJournal& operator=(const CellJournal&) = delete;
 
-  /// Append one finished cell and fsync (the write-ahead guarantee: a cell
-  /// acknowledged here survives a crash).  Thread-safe.
-  void append_cell(const Measurement& m);
-  /// Mark a (dataset, platform) session complete and fsync.  Thread-safe.
-  void append_session_done(const std::string& dataset_id, const std::string& platform);
-  /// Invalidate every earlier journal row of a session; written before a
-  /// session (re-)runs live so partial rows from a crashed run are never
-  /// double-counted.  Thread-safe.
-  void append_session_reset(const std::string& dataset_id, const std::string& platform);
-
-  /// Append a whole finished session as one atomic block — reset marker,
-  /// every row, done marker — with a single fsync.  This is what the
-  /// session-level scheduler uses: the session is the resume unit, so
-  /// journaling cell by cell buys no extra crash safety and costs one fsync
-  /// per cell.  Thread-safe.
+  /// Append a whole finished session as one block — reset marker, every
+  /// row, done marker — with a single fsync (the write-ahead guarantee: a
+  /// session acknowledged here survives a crash).  The reset marker
+  /// invalidates every earlier journal row of the session, so rows from a
+  /// crashed, partly written block are never double-counted.  The session is
+  /// the resume unit, so journaling cell by cell would buy no extra crash
+  /// safety and cost one fsync per cell.  Thread-safe.
   void append_session_block(const std::string& dataset_id, const std::string& platform,
                             const std::vector<Measurement>& rows);
 
@@ -87,7 +79,8 @@ class CellJournal {
   static void remove(const std::string& path);
 
  private:
-  void write_line(const std::string& line);
+  /// Write `text` and fsync; throws std::runtime_error on failure.
+  void write_synced(const std::string& text);
 
   std::string path_;
   FILE* file_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -127,17 +128,39 @@ std::vector<std::string> split_tabs(const std::string& line) {
   }
 }
 
-double parse_double_field(const std::string& context, const std::string& column,
-                          const std::string& value) {
+// Parses a whole numeric field with `parse`, a std::sto* call that reports
+// how many characters it consumed.  A field it rejects or does not consume
+// completely ("12abc", "0.5x") throws std::runtime_error naming the column.
+template <typename Parse>
+auto parse_whole_field(const std::string& context, const std::string& column,
+                       const std::string& value, Parse parse) {
   try {
     std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
+    const auto parsed = parse(value, &consumed);
     if (consumed != value.size()) throw std::invalid_argument("trailing characters");
     return parsed;
   } catch (const std::exception&) {
     throw std::runtime_error("MeasurementTable: " + context + ": bad numeric field '" +
                              column + "' = '" + value + "'");
   }
+}
+
+double parse_double_field(const std::string& context, const std::string& column,
+                          const std::string& value) {
+  return parse_whole_field(context, column, value,
+                           [](const std::string& v, std::size_t* n) { return std::stod(v, n); });
+}
+
+// A count is digits only: std::stoull accepts a sign and wraps "-1" to
+// 2^64 - 1.
+std::size_t parse_count_field(const std::string& context, const std::string& column,
+                              const std::string& value) {
+  return parse_whole_field(context, column, value, [](const std::string& v, std::size_t* n) {
+    if (v.empty() || std::isdigit(static_cast<unsigned char>(v.front())) == 0) {
+      throw std::invalid_argument("not a count");
+    }
+    return static_cast<std::size_t>(std::stoull(v, n));
+  });
 }
 
 }  // namespace
@@ -403,18 +426,18 @@ bool read_scheduler_row(const std::string& line, SchedulerStats* s) {
       if (key == "schedule") {
         s->schedule = value;
       } else if (key == "workers") {
-        s->workers = std::stoull(value);
+        s->workers = parse_count_field("scheduler", key, value);
       } else if (key == "sessions") {
-        s->sessions = std::stoull(value);
+        s->sessions = parse_count_field("scheduler", key, value);
       } else if (key == "stolen") {
-        s->sessions_stolen = std::stoull(value);
+        s->sessions_stolen = parse_count_field("scheduler", key, value);
       } else if (key == "makespan_sec") {
-        s->makespan_seconds = std::stod(value);
+        s->makespan_seconds = parse_double_field("scheduler", key, value);
       } else if (key == "worker_busy_sec" && value != "-") {
         std::istringstream parts(value);
         std::string part;
         while (std::getline(parts, part, ';')) {
-          s->worker_busy_seconds.push_back(std::stod(part));
+          s->worker_busy_seconds.push_back(parse_double_field("scheduler", key, part));
         }
       }
       // busy_sec / imbalance are derived on write; ignored on read.
@@ -517,31 +540,37 @@ std::optional<CampaignReport> CampaignReport::load_tsv(const std::string& path) 
     const auto fields = split_tabs(line);
     if (fields.size() != 22 && fields.size() != 23) return std::nullopt;
     try {
+      const auto count = [&](std::size_t i) {
+        return parse_count_field(path, std::to_string(i), fields[i]);
+      };
+      const auto seconds = [&](std::size_t i) {
+        return parse_double_field(path, std::to_string(i), fields[i]);
+      };
       PlatformCampaignStats p;
       p.platform = fields[0];
-      p.cells_total = std::stoull(fields[1]);
-      p.cells_ok = std::stoull(fields[2]);
-      p.cells_failed = std::stoull(fields[3]);
-      p.cells_rejected = std::stoull(fields[4]);
-      p.cells_deferred = std::stoull(fields[5]);
-      p.cells_restored = std::stoull(fields[6]);
-      p.service.requests = std::stoull(fields[7]);
-      p.service.uploads = std::stoull(fields[8]);
-      p.service.trainings = std::stoull(fields[9]);
-      p.service.predictions = std::stoull(fields[10]);
-      p.service.rate_limited = std::stoull(fields[11]);
-      p.service.transient_errors = std::stoull(fields[12]);
-      p.service.server_errors = std::stoull(fields[13]);
-      p.service.unavailable = std::stoull(fields[14]);
-      p.retries = std::stoull(fields[15]);
-      p.breaker_trips = std::stoull(fields[16]);
-      p.backoff_seconds = std::stod(fields[17]);
-      p.outage_seconds = std::stod(fields[18]);
-      p.simulated_seconds = std::stod(fields[19]);
-      p.service.train_cpu_seconds = std::stod(fields[20]);
+      p.cells_total = count(1);
+      p.cells_ok = count(2);
+      p.cells_failed = count(3);
+      p.cells_rejected = count(4);
+      p.cells_deferred = count(5);
+      p.cells_restored = count(6);
+      p.service.requests = count(7);
+      p.service.uploads = count(8);
+      p.service.trainings = count(9);
+      p.service.predictions = count(10);
+      p.service.rate_limited = count(11);
+      p.service.transient_errors = count(12);
+      p.service.server_errors = count(13);
+      p.service.unavailable = count(14);
+      p.retries = count(15);
+      p.breaker_trips = count(16);
+      p.backoff_seconds = seconds(17);
+      p.outage_seconds = seconds(18);
+      p.simulated_seconds = seconds(19);
+      p.service.train_cpu_seconds = seconds(20);
       std::size_t next = 21;
       if (fields.size() == 23) {
-        p.service.predict_cpu_seconds = std::stod(fields[21]);
+        p.service.predict_cpu_seconds = seconds(21);
         next = 22;
       }
       if (fields[next] != "-") {
@@ -550,7 +579,8 @@ std::optional<CampaignReport> CampaignReport::load_tsv(const std::string& path) 
         while (std::getline(fs, item, ';')) {
           const std::size_t eq = item.find('=');
           if (eq == std::string::npos) return std::nullopt;
-          p.failures_by_status[item.substr(0, eq)] = std::stoull(item.substr(eq + 1));
+          p.failures_by_status[item.substr(0, eq)] =
+              parse_count_field(path, "failures", item.substr(eq + 1));
         }
       }
       report.platforms.push_back(std::move(p));
@@ -1125,12 +1155,6 @@ CampaignResult run_campaign(const std::vector<Dataset>& corpus,
     result.trace = std::move(trace);
   }
   return result;
-}
-
-MeasurementTable run_measurements(const std::vector<Dataset>& corpus,
-                                  const std::vector<PlatformPtr>& platforms,
-                                  const MeasurementOptions& options) {
-  return run_campaign(corpus, platforms, options).table;
 }
 
 std::string measurement_fingerprint(const std::vector<Dataset>& corpus,

@@ -341,11 +341,6 @@ CampaignResult run_campaign(const std::vector<Dataset>& corpus,
                             const std::vector<PlatformPtr>& platforms,
                             const MeasurementOptions& options);
 
-/// Back-compat wrapper: run_campaign's table only.
-MeasurementTable run_measurements(const std::vector<Dataset>& corpus,
-                                  const std::vector<PlatformPtr>& platforms,
-                                  const MeasurementOptions& options);
-
 /// Train/evaluate one (dataset, platform, config) in-process (no service
 /// envelope) and return the row; nullopt when the platform rejects the
 /// config.  Unexpected platform errors yield a failure row (ok == false)

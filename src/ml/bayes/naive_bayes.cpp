@@ -60,9 +60,8 @@ void GaussianNaiveBayes::fit(const Matrix& x, const std::vector<int>& y) {
   }
 }
 
-std::vector<double> GaussianNaiveBayes::predict_score(const Matrix& x) const {
-  std::vector<double> out(x.rows(), single_class_score());
-  if (single_class()) return out;
+void GaussianNaiveBayes::score_into(const Matrix& x, std::vector<double>& out) const {
+  out.resize(x.rows());
   const std::size_t d = x.cols();
   for (std::size_t r = 0; r < x.rows(); ++r) {
     double log_like[2];
@@ -77,7 +76,6 @@ std::vector<double> GaussianNaiveBayes::predict_score(const Matrix& x) const {
     }
     out[r] = sigmoid(log_like[1] - log_like[0]);
   }
-  return out;
 }
 
 

@@ -16,14 +16,14 @@ class GaussianNaiveBayes final : public Classifier {
   explicit GaussianNaiveBayes(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
   std::string name() const override { return "naive_bayes"; }
-  bool is_linear() const override { return true; }
 
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
 
  private:
+  void score_into(const Matrix& x, std::vector<double>& out) const override;
+
   bool uniform_prior_;
   double lambda_;
 

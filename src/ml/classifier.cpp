@@ -31,13 +31,23 @@ void Classifier::load_base(std::istream& in) {
 }
 
 void Classifier::predict_score_into(const Matrix& x, std::vector<double>& out) const {
-  out = predict_score(x);
+  if (single_class_) {
+    out.assign(x.rows(), single_class_label_ == 1 ? 1.0 : 0.0);
+    return;
+  }
+  score_into(x, out);
+}
+
+std::vector<double> Classifier::predict_score(const Matrix& x) const {
+  std::vector<double> out;
+  predict_score_into(x, out);
+  return out;
 }
 
 std::vector<int> Classifier::predict(const Matrix& x) const {
-  const auto scores = predict_score(x);
-  std::vector<int> labels(scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i) labels[i] = scores[i] > 0.5 ? 1 : 0;
+  std::vector<double> scores;
+  std::vector<int> labels;
+  predict_into(x, scores, labels);
   return labels;
 }
 
@@ -48,12 +58,6 @@ void Classifier::predict_into(const Matrix& x, std::vector<double>& score_scratc
   for (std::size_t i = 0; i < score_scratch.size(); ++i) {
     labels[i] = score_scratch[i] > 0.5 ? 1 : 0;
   }
-}
-
-bool Classifier::fill_single_class(std::size_t rows, std::vector<double>& out) const {
-  if (!single_class_) return false;
-  out.assign(rows, single_class_score());
-  return true;
 }
 
 bool Classifier::check_single_class(const std::vector<int>& y) {

@@ -1,9 +1,9 @@
 // Classifier interface.
 //
 // All classifiers are binary (labels {0,1}), are constructed from a ParamMap
-// plus a seed, and report a probability-like score for class 1.  A
-// classifier declares whether its decision boundary is linear — the family
-// label used throughout §6 of the paper (Table 5).
+// plus a seed, and report a probability-like score for class 1.  The base
+// class owns the public predict entry points and the single-class rule;
+// each classifier implements fit() and one scoring kernel, score_into().
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,7 @@
 
 namespace mlaas {
 
-/// Which inference kernel predict_score()/predict_score_into() dispatch to.
+/// Which inference kernel score_into() dispatches to.
 /// kFlat runs the batched kernels (flattened struct-of-arrays ensembles,
 /// blocked matvec/distance tiles); kReference runs each classifier's
 /// original per-row scoring loop, preserved verbatim so tests can assert
@@ -34,23 +34,22 @@ class Classifier {
   virtual ~Classifier() = default;
 
   /// Train on X (n x d) with labels y in {0,1}.  Implementations must
-  /// tolerate single-class training sets (predict the constant class).
+  /// tolerate single-class training sets: they call check_single_class(),
+  /// and when it reports one class every predict returns that class.
   virtual void fit(const Matrix& x, const std::vector<int>& y) = 0;
 
-  /// P(class == 1)-like score in [0, 1] per row.  Must only be called after
-  /// fit().
-  virtual std::vector<double> predict_score(const Matrix& x) const = 0;
+  /// P(class == 1)-like score in [0, 1] per row, written into `out`
+  /// (resized to x.rows()).  A caller that keeps `out` alive across calls
+  /// predicts repeatedly without reallocating.  Fills the constant score
+  /// when fit() saw one class; otherwise runs the classifier's score_into().
+  /// Must only be called after fit().
+  void predict_score_into(const Matrix& x, std::vector<double>& out) const;
 
-  /// Scores written into `out` (resized to x.rows()).  The serving-path
-  /// variant of predict_score(): a caller that keeps `out` alive across
-  /// calls predicts repeatedly without reallocating.  Scores are identical
-  /// (bit for bit) to predict_score().  The default forwards to
-  /// predict_score(); optimized classifiers override this with their real
-  /// kernel and implement predict_score() on top of it.
-  virtual void predict_score_into(const Matrix& x, std::vector<double>& out) const;
+  /// predict_score_into() into a fresh vector; identical scores.
+  std::vector<double> predict_score(const Matrix& x) const;
 
-  /// Hard labels; default thresholds score at 0.5.
-  virtual std::vector<int> predict(const Matrix& x) const;
+  /// Hard labels: score thresholded at 0.5.
+  std::vector<int> predict(const Matrix& x) const;
 
   /// predict() with caller-owned score scratch: `labels` is resized and
   /// filled, `score_scratch` is reused across calls.  Labels are identical
@@ -58,11 +57,9 @@ class Classifier {
   void predict_into(const Matrix& x, std::vector<double>& score_scratch,
                     std::vector<int>& labels) const;
 
-  /// Registry name, e.g. "logistic_regression".
+  /// Registry name, e.g. "logistic_regression".  Its Table 4 abbreviation
+  /// and Table 5 family live in the registry (ml/registry.h).
   virtual std::string name() const = 0;
-
-  /// Linear decision boundary? (Table 5's linear/non-linear families.)
-  virtual bool is_linear() const = 0;
 
   /// Serialize the fitted state (including predict-time hyper-parameters);
   /// restore with load() on a default-constructed instance.  See
@@ -71,15 +68,13 @@ class Classifier {
   virtual void load(std::istream& in) = 0;
 
  protected:
-  /// Shared single-class handling: returns true (and records the class) if
-  /// y is constant; predict_score then returns that constant.
-  bool check_single_class(const std::vector<int>& y);
-  bool single_class() const { return single_class_; }
-  double single_class_score() const { return single_class_label_ == 1 ? 1.0 : 0.0; }
+  /// The classifier's scoring kernel: resize `out` to x.rows() and write
+  /// every row's score.  Only called after a fit that saw both classes.
+  virtual void score_into(const Matrix& x, std::vector<double>& out) const = 0;
 
-  /// Shared predict_score_into() prologue: when the training set was
-  /// single-class, fills `out` with the constant score and returns true.
-  bool fill_single_class(std::size_t rows, std::vector<double>& out) const;
+  /// Shared single-class handling: returns true (and records the class) if
+  /// y is constant; predict_score_into() then fills that constant.
+  bool check_single_class(const std::vector<int>& y);
 
   /// Serialize/restore the shared single-class state; every concrete
   /// save()/load() implementation calls these first.

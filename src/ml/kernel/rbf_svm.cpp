@@ -98,14 +98,7 @@ void RbfSvm::fit(const Matrix& x, const std::vector<int>& y) {
   }
 }
 
-std::vector<double> RbfSvm::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void RbfSvm::predict_score_into(const Matrix& x, std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void RbfSvm::score_into(const Matrix& x, std::vector<double>& out) const {
   if (active_predict_kernel() == PredictKernel::kReference) {
     out.resize(x.rows());
     std::vector<double> row(x.cols());

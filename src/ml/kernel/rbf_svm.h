@@ -22,10 +22,7 @@ class RbfSvm final : public Classifier {
   explicit RbfSvm(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "rbf_svm"; }
-  bool is_linear() const override { return false; }
 
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
@@ -34,6 +31,8 @@ class RbfSvm final : public Classifier {
   std::size_t support_count() const { return support_x_.rows(); }
 
  private:
+  void score_into(const Matrix& x, std::vector<double>& out) const override;
+
   double c_;
   double gamma_param_;
   long long max_iter_;

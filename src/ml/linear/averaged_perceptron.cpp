@@ -66,15 +66,7 @@ void AveragedPerceptron::fit(const Matrix& x, const std::vector<int>& y) {
   }
 }
 
-std::vector<double> AveragedPerceptron::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void AveragedPerceptron::predict_score_into(const Matrix& x,
-                               std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void AveragedPerceptron::score_into(const Matrix& x, std::vector<double>& out) const {
   if (active_predict_kernel() == PredictKernel::kReference) {
     const auto z = x.multiply(w_);
     out.resize(x.rows());

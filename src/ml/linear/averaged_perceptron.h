@@ -15,10 +15,7 @@ class AveragedPerceptron final : public Classifier {
   explicit AveragedPerceptron(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "averaged_perceptron"; }
-  bool is_linear() const override { return true; }
 
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
@@ -26,6 +23,8 @@ class AveragedPerceptron final : public Classifier {
   const std::vector<double>& weights() const { return w_; }
 
  private:
+  void score_into(const Matrix& x, std::vector<double>& out) const override;
+
   double learning_rate_;
   long long max_iter_;
   std::uint64_t seed_;

@@ -71,15 +71,7 @@ void BayesPointMachine::fit(const Matrix& x, const std::vector<int>& y) {
   }
 }
 
-std::vector<double> BayesPointMachine::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void BayesPointMachine::predict_score_into(const Matrix& x,
-                                           std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void BayesPointMachine::score_into(const Matrix& x, std::vector<double>& out) const {
   if (active_predict_kernel() == PredictKernel::kReference) {
     const auto z = x.multiply(w_);
     out.resize(x.rows());

@@ -18,15 +18,14 @@ class BayesPointMachine final : public Classifier {
   explicit BayesPointMachine(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "bayes_point_machine"; }
-  bool is_linear() const override { return true; }
 
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
 
  private:
+  void score_into(const Matrix& x, std::vector<double>& out) const override;
+
   long long training_iterations_;
   int committee_size_;
   std::uint64_t seed_;

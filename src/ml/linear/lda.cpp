@@ -70,15 +70,7 @@ void LinearDiscriminantAnalysis::fit(const Matrix& x, const std::vector<int>& y)
   b_ = -(m0 + m1) / 2.0 + prior;
 }
 
-std::vector<double> LinearDiscriminantAnalysis::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void LinearDiscriminantAnalysis::predict_score_into(const Matrix& x,
-                               std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void LinearDiscriminantAnalysis::score_into(const Matrix& x, std::vector<double>& out) const {
   if (active_predict_kernel() == PredictKernel::kReference) {
     const auto z = x.multiply(w_);
     out.resize(x.rows());

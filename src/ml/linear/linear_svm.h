@@ -20,10 +20,7 @@ class LinearSvm final : public Classifier {
   explicit LinearSvm(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "linear_svm"; }
-  bool is_linear() const override { return true; }
 
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
@@ -32,6 +29,8 @@ class LinearSvm final : public Classifier {
   double intercept() const { return b_; }
 
  private:
+  void score_into(const Matrix& x, std::vector<double>& out) const override;
+
   double lambda_;
   bool squared_hinge_;
   long long max_iter_;

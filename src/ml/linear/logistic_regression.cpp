@@ -134,15 +134,7 @@ void LogisticRegression::fit(const Matrix& x, const std::vector<int>& y) {
   }
 }
 
-std::vector<double> LogisticRegression::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void LogisticRegression::predict_score_into(const Matrix& x,
-                                            std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void LogisticRegression::score_into(const Matrix& x, std::vector<double>& out) const {
   if (active_predict_kernel() == PredictKernel::kReference) {
     const auto z = x.multiply(w_);
     out.resize(x.rows());

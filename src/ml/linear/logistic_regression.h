@@ -27,10 +27,7 @@ class LogisticRegression final : public Classifier {
   explicit LogisticRegression(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "logistic_regression"; }
-  bool is_linear() const override { return true; }
 
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
@@ -39,6 +36,8 @@ class LogisticRegression final : public Classifier {
   double intercept() const { return b_; }
 
  private:
+  void score_into(const Matrix& x, std::vector<double>& out) const override;
+
   std::string penalty_;
   double lambda_;
   long long max_iter_;

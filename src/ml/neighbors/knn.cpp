@@ -47,15 +47,7 @@ void KNearestNeighbors::fit(const Matrix& x, const std::vector<int>& y) {
   }
 }
 
-std::vector<double> KNearestNeighbors::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void KNearestNeighbors::predict_score_into(const Matrix& x,
-                                           std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void KNearestNeighbors::score_into(const Matrix& x, std::vector<double>& out) const {
   const std::size_t n_train = train_x_.rows();
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(n_neighbors_), n_train);
   const bool euclidean = p_ == 2.0 && train_sq_norms_.size() == n_train;

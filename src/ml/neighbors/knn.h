@@ -22,15 +22,14 @@ class KNearestNeighbors final : public Classifier {
   explicit KNearestNeighbors(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "knn"; }
-  bool is_linear() const override { return false; }
 
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
 
  private:
+  void score_into(const Matrix& x, std::vector<double>& out) const override;
+
   long long n_neighbors_;
   bool distance_weighted_;
   double p_;
@@ -42,7 +41,7 @@ class KNearestNeighbors final : public Classifier {
   // of a subtract-square pass.  Recomputed on fit()/load(), not serialized.
   std::vector<double> train_sq_norms_;
 
-  // Shared body of predict_score_into: sqrt + (distance, index) pairing,
+  // Shared body of score_into: sqrt + (distance, index) pairing,
   // neighbor selection and vote for one query whose squared distances are
   // already in d2.
   double score_from_squared_distances(std::span<const double> d2,

@@ -19,54 +19,71 @@
 
 namespace mlaas {
 
+namespace {
+
+template <typename T>
+ClassifierPtr construct(const ParamMap& params, std::uint64_t seed) {
+  return std::make_unique<T>(params, seed);
+}
+
+struct RegistryRow {
+  const char* name;
+  const char* abbrev;  // Table 4
+  bool linear;         // Table 5 family (NB counted as linear, as in the paper)
+  ClassifierPtr (*make)(const ParamMap&, std::uint64_t);
+};
+
+// One row per classifier.  Row order is classifier_names() order, which
+// grids and tests iterate, so a new row goes at the end.
+constexpr RegistryRow kRegistry[] = {
+    {"logistic_regression", "LR", true, construct<LogisticRegression>},
+    {"naive_bayes", "NB", true, construct<GaussianNaiveBayes>},
+    {"linear_svm", "SVM", true, construct<LinearSvm>},
+    {"lda", "LDA", true, construct<LinearDiscriminantAnalysis>},
+    {"averaged_perceptron", "AP", true, construct<AveragedPerceptron>},
+    {"bayes_point_machine", "BPM", true, construct<BayesPointMachine>},
+    {"knn", "KNN", false, construct<KNearestNeighbors>},
+    {"decision_tree", "DT", false, construct<DecisionTree>},
+    {"random_forest", "RF", false, construct<RandomForest>},
+    {"bagging", "BAG", false, construct<BaggedTrees>},
+    {"boosted_trees", "BST", false, construct<BoostedDecisionTrees>},
+    {"decision_jungle", "DJ", false, construct<DecisionJungle>},
+    {"mlp", "MLP", false, construct<MultiLayerPerceptron>},
+    {"rbf_svm", "RBF", false, construct<RbfSvm>},
+};
+
+const RegistryRow* find_row(const std::string& name) {
+  for (const auto& row : kRegistry) {
+    if (name == row.name) return &row;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 ClassifierPtr make_classifier(const std::string& name, const ParamMap& params,
                               std::uint64_t seed) {
-  if (name == "logistic_regression") return std::make_unique<LogisticRegression>(params, seed);
-  if (name == "naive_bayes") return std::make_unique<GaussianNaiveBayes>(params, seed);
-  if (name == "linear_svm") return std::make_unique<LinearSvm>(params, seed);
-  if (name == "lda") return std::make_unique<LinearDiscriminantAnalysis>(params, seed);
-  if (name == "averaged_perceptron") return std::make_unique<AveragedPerceptron>(params, seed);
-  if (name == "bayes_point_machine") return std::make_unique<BayesPointMachine>(params, seed);
-  if (name == "knn") return std::make_unique<KNearestNeighbors>(params, seed);
-  if (name == "decision_tree") return std::make_unique<DecisionTree>(params, seed);
-  if (name == "random_forest") return std::make_unique<RandomForest>(params, seed);
-  if (name == "bagging") return std::make_unique<BaggedTrees>(params, seed);
-  if (name == "boosted_trees") return std::make_unique<BoostedDecisionTrees>(params, seed);
-  if (name == "decision_jungle") return std::make_unique<DecisionJungle>(params, seed);
-  if (name == "mlp") return std::make_unique<MultiLayerPerceptron>(params, seed);
-  if (name == "rbf_svm") return std::make_unique<RbfSvm>(params, seed);
-  throw std::invalid_argument("make_classifier: unknown classifier " + name);
+  const RegistryRow* row = find_row(name);
+  if (row == nullptr) {
+    throw std::invalid_argument("make_classifier: unknown classifier " + name);
+  }
+  return row->make(params, seed);
 }
 
 std::vector<std::string> classifier_names() {
-  return {"logistic_regression", "naive_bayes",  "linear_svm",       "lda",
-          "averaged_perceptron", "bayes_point_machine", "knn",       "decision_tree",
-          "random_forest",       "bagging",      "boosted_trees",    "decision_jungle",
-          "mlp",                 "rbf_svm"};
+  std::vector<std::string> names;
+  for (const auto& row : kRegistry) names.emplace_back(row.name);
+  return names;
 }
 
 std::string classifier_abbrev(const std::string& name) {
-  if (name == "logistic_regression") return "LR";
-  if (name == "naive_bayes") return "NB";
-  if (name == "linear_svm") return "SVM";
-  if (name == "lda") return "LDA";
-  if (name == "averaged_perceptron") return "AP";
-  if (name == "bayes_point_machine") return "BPM";
-  if (name == "knn") return "KNN";
-  if (name == "decision_tree") return "DT";
-  if (name == "random_forest") return "RF";
-  if (name == "bagging") return "BAG";
-  if (name == "boosted_trees") return "BST";
-  if (name == "decision_jungle") return "DJ";
-  if (name == "mlp") return "MLP";
-  if (name == "rbf_svm") return "RBF";
-  return name;
+  const RegistryRow* row = find_row(name);
+  return row != nullptr ? row->abbrev : name;
 }
 
 bool classifier_is_linear(const std::string& name) {
-  // Table 5's family assignment (NB counted as linear, as in the paper).
-  return name == "logistic_regression" || name == "naive_bayes" || name == "linear_svm" ||
-         name == "lda" || name == "averaged_perceptron" || name == "bayes_point_machine";
+  const RegistryRow* row = find_row(name);
+  return row != nullptr && row->linear;
 }
 
 }  // namespace mlaas

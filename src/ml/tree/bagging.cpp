@@ -65,14 +65,7 @@ void BaggedTrees::rebuild_flat() {
   for (const auto& member : members_) flat_.add_tree(member.tree, member.features);
 }
 
-std::vector<double> BaggedTrees::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void BaggedTrees::predict_score_into(const Matrix& x, std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void BaggedTrees::score_into(const Matrix& x, std::vector<double>& out) const {
   if (active_predict_kernel() == PredictKernel::kReference) {
     reference_predict_score_into(x, out);
     return;

@@ -62,14 +62,7 @@ void DecisionJungle::rebuild_flat() {
   for (const auto& dag : dags_) flat_.add_tree(dag);
 }
 
-std::vector<double> DecisionJungle::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void DecisionJungle::predict_score_into(const Matrix& x, std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void DecisionJungle::score_into(const Matrix& x, std::vector<double>& out) const {
   if (active_predict_kernel() == PredictKernel::kReference) {
     reference_predict_score_into(x, out);
     return;

@@ -28,15 +28,14 @@ class DecisionJungle final : public Classifier {
   explicit DecisionJungle(const ParamMap& params = {}, std::uint64_t seed = 0);
 
   void fit(const Matrix& x, const std::vector<int>& y) override;
-  std::vector<double> predict_score(const Matrix& x) const override;
-  void predict_score_into(const Matrix& x, std::vector<double>& out) const override;
   std::string name() const override { return "decision_jungle"; }
-  bool is_linear() const override { return false; }
 
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
 
  private:
+  void score_into(const Matrix& x, std::vector<double>& out) const override;
+
   void rebuild_flat();
   void reference_predict_score_into(const Matrix& x, std::vector<double>& out) const;
 

@@ -69,14 +69,7 @@ void DecisionTree::rebuild_flat() {
   flat_.add_tree(tree_);
 }
 
-std::vector<double> DecisionTree::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void DecisionTree::predict_score_into(const Matrix& x, std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void DecisionTree::score_into(const Matrix& x, std::vector<double>& out) const {
   if (active_predict_kernel() == PredictKernel::kReference) {
     out = tree_.predict(x);
     return;

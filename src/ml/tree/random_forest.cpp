@@ -59,14 +59,7 @@ void RandomForest::rebuild_flat() {
   for (const auto& tree : trees_) flat_.add_tree(tree);
 }
 
-std::vector<double> RandomForest::predict_score(const Matrix& x) const {
-  std::vector<double> out;
-  predict_score_into(x, out);
-  return out;
-}
-
-void RandomForest::predict_score_into(const Matrix& x, std::vector<double>& out) const {
-  if (fill_single_class(x.rows(), out)) return;
+void RandomForest::score_into(const Matrix& x, std::vector<double>& out) const {
   if (active_predict_kernel() == PredictKernel::kReference) {
     reference_predict_score_into(x, out);
     return;

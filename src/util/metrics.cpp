@@ -55,13 +55,4 @@ std::string MetricsRegistry::encode() const {
   return out.str();
 }
 
-void MetricsRegistry::write_json(std::ostream& out) const {
-  out << "{";
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << "\"" << entries_[i].name << "\": " << format_metric_value(entries_[i].value);
-  }
-  out << "}";
-}
-
 }  // namespace mlaas

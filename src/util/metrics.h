@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <map>
-#include <ostream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -67,9 +66,6 @@ class MetricsRegistry {
   /// without a decimal point so encoded counters look like the hand-written
   /// TSV trailers they replace.
   std::string encode() const;
-
-  /// One JSON object, registration order preserved.
-  void write_json(std::ostream& out) const;
 
  private:
   double& slot(const std::string& name, Kind kind);

@@ -14,10 +14,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// Index of the executing worker within its pool; set once per worker thread.
-// A thread belongs to exactly one pool, so a plain thread_local suffices.
-thread_local std::size_t tls_worker_index = 0;
-
 }  // namespace
 
 double ParallelStats::total_busy_seconds() const {
@@ -48,10 +44,7 @@ ThreadPool::ThreadPool(std::size_t n_threads) {
   }
   workers_.reserve(n_threads);
   for (std::size_t i = 0; i < n_threads; ++i) {
-    workers_.emplace_back([this, i] {
-      tls_worker_index = i;
-      worker_loop();
-    });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -76,53 +69,6 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                              ParallelStats* stats) {
-  if (stats != nullptr) {
-    *stats = ParallelStats{};
-    stats->busy_seconds.assign(workers_.size(), 0.0);
-    stats->items.assign(workers_.size(), 0);
-  }
-  if (n == 0) return;
-  const auto dispatch_t0 = std::chrono::steady_clock::now();
-  // Chunk the index range so a large n costs O(workers) queue entries and
-  // futures instead of O(n).  Indices stay in ascending order within a
-  // chunk, so fn(i) still observes i monotonically per task.
-  const std::size_t chunks = std::min(n, std::max<std::size_t>(1, workers_.size() * 4));
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * chunk_size;
-    const std::size_t hi = std::min(n, lo + chunk_size);
-    if (lo >= hi) break;
-    // Telemetry is attributed to the physical worker executing the chunk
-    // (each slot is only ever written by its own worker thread).
-    futs.push_back(submit([lo, hi, &fn, stats] {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-      if (stats != nullptr) {
-        stats->busy_seconds[tls_worker_index] += seconds_since(t0);
-        stats->items[tls_worker_index] += hi - lo;
-      }
-    }));
-  }
-  // Join every future before surfacing a failure: rethrowing mid-join would
-  // destroy `futs` (and let `fn` dangle for chunks still running) while
-  // workers are executing them.  First exception wins; later ones are
-  // swallowed, matching what a sequential loop would have surfaced.
-  std::exception_ptr first;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (stats != nullptr) stats->makespan_seconds = seconds_since(dispatch_t0);
-  if (first) std::rethrow_exception(first);
 }
 
 void ThreadPool::parallel_for_dynamic(std::size_t n,

@@ -4,14 +4,10 @@
 // std::future for the callable's result.  The pool joins in its destructor
 // after draining the queue (tasks submitted before destruction all run).
 //
-// Two bulk dispatchers are provided:
-//   parallel_for         — static chunking: the index range is cut into
-//                          O(workers) contiguous chunks up front.  Cheap, but
-//                          one slow chunk leaves the other workers idle.
-//   parallel_for_dynamic — an atomic ticket: every worker pulls the next
-//                          index the moment it finishes the previous one, so
-//                          skewed workloads balance automatically.  Both can
-//                          fill a ParallelStats with per-worker telemetry.
+// The bulk dispatcher, parallel_for_dynamic, hands out indices through an
+// atomic ticket: every worker pulls the next index the moment it finishes
+// the previous one, so skewed workloads balance automatically.  It can fill
+// a ParallelStats with per-worker telemetry.
 #pragma once
 
 #include <condition_variable>
@@ -27,16 +23,15 @@
 
 namespace mlaas {
 
-/// Per-worker telemetry of one parallel_for / parallel_for_dynamic call.
+/// Per-worker telemetry of one parallel_for_dynamic call.
 struct ParallelStats {
   /// Wall seconds each worker spent inside the callable (index = worker).
   std::vector<double> busy_seconds;
   /// Items each worker executed.
   std::vector<std::size_t> items;
-  /// Dynamic dispatch only: items executed by a different worker than the
-  /// one a static contiguous partition would have assigned them to — how
-  /// much work the ticket moved off overloaded workers.  Always 0 for
-  /// parallel_for.
+  /// Items executed by a different worker than the one a static contiguous
+  /// partition would have assigned them to — how much work the ticket moved
+  /// off overloaded workers.
   std::size_t stolen = 0;
   /// Wall seconds of the whole dispatch (submission to last completion).
   double makespan_seconds = 0.0;
@@ -77,12 +72,6 @@ class ThreadPool {
     cv_.notify_one();
     return fut;
   }
-
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// Static chunking; on an exception every other index still runs to
-  /// completion before the first exception is rethrown.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                    ParallelStats* stats = nullptr);
 
   /// Run fn(i) for i in [0, n) with dynamic dispatch: one runner per worker,
   /// each pulling the next index off a shared atomic ticket.  Indices are

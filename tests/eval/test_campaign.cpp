@@ -7,6 +7,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "data/generators.h"
 #include "data/split.h"
@@ -226,6 +229,65 @@ TEST(CampaignReport, TsvRoundTripAndJsonWritten) {
   EXPECT_NE(text.find("\"coverage\""), std::string::npos);
   std::remove(tsv.c_str());
   std::remove(json.c_str());
+}
+
+// Saves a one-platform report with a scheduler trailer, overwrites one
+// tab-separated field of line `line_no` (1 = the platform row, 2 = the
+// scheduler trailer) with `value`, and loads the edited file back.
+std::optional<CampaignReport> load_with_field(std::size_t line_no, std::size_t field,
+                                              const std::string& value) {
+  CampaignReport report;
+  PlatformCampaignStats p;
+  p.platform = "Google";
+  p.cells_total = 12;
+  p.cells_ok = 12;
+  p.simulated_seconds = 0.5;
+  report.platforms.push_back(p);
+  report.scheduler.schedule = "dynamic";
+  report.scheduler.workers = 2;
+  const std::string path = ::testing::TempDir() + "/campaign_report_strict.tsv";
+  report.save_tsv(path);
+  EXPECT_TRUE(CampaignReport::load_tsv(path).has_value()) << "the unedited report must load";
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  std::vector<std::string> fields;
+  std::size_t start = 0;
+  for (std::size_t tab; (tab = lines.at(line_no).find('\t', start)) != std::string::npos;
+       start = tab + 1) {
+    fields.push_back(lines[line_no].substr(start, tab - start));
+  }
+  fields.push_back(lines[line_no].substr(start));
+  fields.at(field) = value;
+  lines[line_no] = fields[0];
+  for (std::size_t i = 1; i < fields.size(); ++i) lines[line_no] += '\t' + fields[i];
+  {
+    std::ofstream out(path);
+    for (const auto& line : lines) out << line << '\n';
+  }
+  auto loaded = CampaignReport::load_tsv(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+TEST(CampaignReport, StrictLoaderRejectsNegativeCount) {
+  // std::stoull alone would wrap "-1" to 18446744073709551615.
+  EXPECT_FALSE(load_with_field(1, 1, "-1").has_value());
+}
+
+TEST(CampaignReport, StrictLoaderRejectsCountWithTrailingCharacters) {
+  EXPECT_FALSE(load_with_field(1, 1, "12abc").has_value());
+}
+
+TEST(CampaignReport, StrictLoaderRejectsSecondsWithTrailingCharacters) {
+  EXPECT_FALSE(load_with_field(1, 19, "0.5x").has_value());  // simulated_sec
+}
+
+TEST(CampaignReport, StrictLoaderRejectsMalformedSchedulerCount) {
+  // Field 2 of the trailer ("# scheduler" is field 0) is workers=.
+  EXPECT_FALSE(load_with_field(2, 2, "workers=2x").has_value());
 }
 
 TEST(RunOrLoad, FingerprintMismatchForcesRerun) {

@@ -3,6 +3,9 @@
 // competence on a separable problem.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+
 #include "ml/registry.h"
 #include "tests/ml/test_helpers.h"
 
@@ -10,6 +13,28 @@ namespace mlaas {
 namespace {
 
 class ClassifierProperty : public ::testing::TestWithParam<std::string> {};
+
+// The paper's facts for every classifier, stated independently of the
+// registry table so that a wrong table row fails a test: the Table 4
+// abbreviation and the Table 5 family (NB counted as linear, as in the
+// paper; the two linear Microsoft classifiers AP and BPM join it).
+struct PaperFacts {
+  std::string abbrev;
+  bool linear;
+};
+
+const std::map<std::string, PaperFacts>& paper_facts() {
+  static const std::map<std::string, PaperFacts> facts = {
+      {"logistic_regression", {"LR", true}},  {"naive_bayes", {"NB", true}},
+      {"linear_svm", {"SVM", true}},          {"lda", {"LDA", true}},
+      {"averaged_perceptron", {"AP", true}},  {"bayes_point_machine", {"BPM", true}},
+      {"knn", {"KNN", false}},                {"decision_tree", {"DT", false}},
+      {"random_forest", {"RF", false}},       {"bagging", {"BAG", false}},
+      {"boosted_trees", {"BST", false}},      {"decision_jungle", {"DJ", false}},
+      {"mlp", {"MLP", false}},                {"rbf_svm", {"RBF", false}},
+  };
+  return facts;
+}
 
 TEST_P(ClassifierProperty, SeparableProblemAboveChance) {
   auto clf = make_classifier(GetParam(), {}, 1);
@@ -72,8 +97,13 @@ TEST_P(ClassifierProperty, NameMatchesRegistry) {
 }
 
 TEST_P(ClassifierProperty, FamilyMatchesRegistryTable) {
+  // The §6 analyses look a row's family up by the name the classifier
+  // reports, so a constructed classifier's name() must reach its Table 5
+  // family and Table 4 abbreviation.
   auto clf = make_classifier(GetParam(), {}, 7);
-  EXPECT_EQ(clf->is_linear(), classifier_is_linear(GetParam()));
+  const PaperFacts& facts = paper_facts().at(GetParam());
+  EXPECT_EQ(classifier_is_linear(clf->name()), facts.linear);
+  EXPECT_EQ(classifier_abbrev(clf->name()), facts.abbrev);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassifiers, ClassifierProperty,
@@ -84,30 +114,40 @@ INSTANTIATE_TEST_SUITE_P(AllClassifiers, ClassifierProperty,
 
 TEST(Registry, UnknownNameThrows) {
   EXPECT_THROW(make_classifier("no_such_classifier"), std::invalid_argument);
+  try {
+    make_classifier("auto");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "make_classifier: unknown classifier auto");
+  }
+  // The other two lookups pass an unknown name through rather than throw:
+  // "auto" (a black-box platform's own choice) keeps its name and counts as
+  // non-linear.
+  EXPECT_EQ(classifier_abbrev("auto"), "auto");
+  EXPECT_FALSE(classifier_is_linear("auto"));
 }
 
 TEST(Registry, AbbreviationsMatchTable4) {
-  EXPECT_EQ(classifier_abbrev("logistic_regression"), "LR");
-  EXPECT_EQ(classifier_abbrev("boosted_trees"), "BST");
-  EXPECT_EQ(classifier_abbrev("decision_jungle"), "DJ");
-  EXPECT_EQ(classifier_abbrev("mlp"), "MLP");
+  for (const auto& [name, facts] : paper_facts()) {
+    EXPECT_EQ(classifier_abbrev(name), facts.abbrev) << name;
+  }
 }
 
-TEST(Registry, FourteenClassifiers) { EXPECT_EQ(classifier_names().size(), 14u); }
+TEST(Registry, FourteenClassifiers) {
+  // Grids and tests iterate this order, so it is pinned.
+  const std::vector<std::string> expected = {
+      "logistic_regression", "naive_bayes",     "linear_svm",    "lda",
+      "averaged_perceptron", "bayes_point_machine", "knn",       "decision_tree",
+      "random_forest",       "bagging",         "boosted_trees", "decision_jungle",
+      "mlp",                 "rbf_svm"};
+  EXPECT_EQ(classifier_names(), expected);
+  EXPECT_EQ(paper_facts().size(), expected.size());
+}
 
 TEST(Registry, LinearFamilyMatchesTable5) {
-  // Table 5: linear = {LR, NB, Linear SVM, LDA}; our roster adds the two
-  // linear Microsoft classifiers (AP, BPM).
-  EXPECT_TRUE(classifier_is_linear("logistic_regression"));
-  EXPECT_TRUE(classifier_is_linear("naive_bayes"));
-  EXPECT_TRUE(classifier_is_linear("linear_svm"));
-  EXPECT_TRUE(classifier_is_linear("lda"));
-  EXPECT_FALSE(classifier_is_linear("decision_tree"));
-  EXPECT_FALSE(classifier_is_linear("random_forest"));
-  EXPECT_FALSE(classifier_is_linear("boosted_trees"));
-  EXPECT_FALSE(classifier_is_linear("knn"));
-  EXPECT_FALSE(classifier_is_linear("bagging"));
-  EXPECT_FALSE(classifier_is_linear("mlp"));
+  for (const auto& [name, facts] : paper_facts()) {
+    EXPECT_EQ(classifier_is_linear(name), facts.linear) << name;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "ml/linear/lda.h"
 #include "ml/linear/linear_svm.h"
 #include "ml/linear/logistic_regression.h"
+#include "ml/registry.h"
 #include "tests/ml/test_helpers.h"
 
 namespace mlaas {
@@ -135,11 +136,12 @@ TEST(Lda, ShrinkageHandlesHighDimensional) {
 }
 
 TEST(LinearFamily, AllDeclareLinearBoundary) {
-  EXPECT_TRUE(LogisticRegression().is_linear());
-  EXPECT_TRUE(LinearSvm().is_linear());
-  EXPECT_TRUE(AveragedPerceptron().is_linear());
-  EXPECT_TRUE(BayesPointMachine().is_linear());
-  EXPECT_TRUE(LinearDiscriminantAnalysis().is_linear());
+  // The family lives in the registry table, keyed by each class's name().
+  EXPECT_TRUE(classifier_is_linear(LogisticRegression().name()));
+  EXPECT_TRUE(classifier_is_linear(LinearSvm().name()));
+  EXPECT_TRUE(classifier_is_linear(AveragedPerceptron().name()));
+  EXPECT_TRUE(classifier_is_linear(BayesPointMachine().name()));
+  EXPECT_TRUE(classifier_is_linear(LinearDiscriminantAnalysis().name()));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "ml/kernel/rbf_svm.h"
 #include "ml/neighbors/knn.h"
 #include "ml/neural/mlp.h"
+#include "ml/registry.h"
 #include "tests/ml/test_helpers.h"
 #include "util/rng.h"
 
@@ -179,10 +180,11 @@ TEST(RbfSvm, PrunedSupportSetGivesSameDecisionFunction) {
 }
 
 TEST(NonLinearFamily, DeclaredCorrectly) {
-  EXPECT_FALSE(KNearestNeighbors().is_linear());
-  EXPECT_FALSE(MultiLayerPerceptron().is_linear());
-  EXPECT_FALSE(RbfSvm().is_linear());
-  EXPECT_TRUE(GaussianNaiveBayes().is_linear());  // Table 5 convention
+  // The family lives in the registry table, keyed by each class's name().
+  EXPECT_FALSE(classifier_is_linear(KNearestNeighbors().name()));
+  EXPECT_FALSE(classifier_is_linear(MultiLayerPerceptron().name()));
+  EXPECT_FALSE(classifier_is_linear(RbfSvm().name()));
+  EXPECT_TRUE(classifier_is_linear(GaussianNaiveBayes().name()));  // Table 5 convention
 }
 
 }  // namespace

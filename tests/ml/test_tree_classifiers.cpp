@@ -5,6 +5,7 @@
 #include "ml/tree/decision_jungle.h"
 #include "ml/tree/decision_tree.h"
 #include "ml/tree/random_forest.h"
+#include "ml/registry.h"
 #include "tests/ml/test_helpers.h"
 
 namespace mlaas {
@@ -149,11 +150,12 @@ TEST(DecisionJungle, WidthConstrainedStillReasonable) {
 }
 
 TEST(TreeFamily, AllDeclareNonLinearBoundary) {
-  EXPECT_FALSE(DecisionTree().is_linear());
-  EXPECT_FALSE(RandomForest().is_linear());
-  EXPECT_FALSE(BaggedTrees().is_linear());
-  EXPECT_FALSE(BoostedDecisionTrees().is_linear());
-  EXPECT_FALSE(DecisionJungle().is_linear());
+  // The family lives in the registry table, keyed by each class's name().
+  EXPECT_FALSE(classifier_is_linear(DecisionTree().name()));
+  EXPECT_FALSE(classifier_is_linear(RandomForest().name()));
+  EXPECT_FALSE(classifier_is_linear(BaggedTrees().name()));
+  EXPECT_FALSE(classifier_is_linear(BoostedDecisionTrees().name()));
+  EXPECT_FALSE(classifier_is_linear(DecisionJungle().name()));
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "platform/service.h"
 
@@ -60,16 +59,6 @@ TEST(MetricsRegistry, EncodeRoundTripsDoublesExactly) {
   EXPECT_EQ(std::stod(format_metric_value(v)), v);
   EXPECT_EQ(format_metric_value(3.0), "3");
   EXPECT_EQ(format_metric_value(-17.0), "-17");
-}
-
-TEST(MetricsRegistry, WriteJsonPreservesOrder) {
-  MetricsRegistry r;
-  r.counter("b") = 2.0;
-  r.counter("a") = 1.0;
-  std::ostringstream out;
-  r.write_json(out);
-  const std::string json = out.str();
-  EXPECT_LT(json.find("\"b\""), json.find("\"a\""));
 }
 
 /// Toy stats struct exercising the visit_fields contract directly.

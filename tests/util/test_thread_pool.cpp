@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
 #include <thread>
 
 namespace mlaas {
@@ -35,7 +36,7 @@ TEST(ThreadPool, ManyTasksAllComplete) {
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<int> hits(500, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  pool.parallel_for_dynamic(hits.size(), [&](std::size_t i) { hits[i] += 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 500);
   for (int h : hits) EXPECT_EQ(h, 1);
 }
@@ -48,44 +49,62 @@ TEST(ThreadPool, TaskExceptionsPropagateViaFuture) {
 
 TEST(ThreadPool, ParallelForRethrowsAfterAllTasksComplete) {
   ThreadPool pool(4);
-  std::atomic<int> completed{0};
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
   try {
-    pool.parallel_for(100, [&](std::size_t i) {
-      if (i == 99) throw std::runtime_error("task 99 failed");
-      completed.fetch_add(1);
+    pool.parallel_for_dynamic(100, [&](std::size_t i) {
+      started.fetch_add(1);
+      if (i == 5) throw std::runtime_error("item 5 failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      finished.fetch_add(1);
     });
-    FAIL() << "expected the task exception to propagate";
+    FAIL() << "expected the item exception to propagate";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task 99 failed");
+    EXPECT_STREQ(e.what(), "item 5 failed");
   }
-  // Every other index ran to completion before the rethrow: the loop must
-  // not abandon in-flight chunks (their callable would dangle).
-  EXPECT_EQ(completed.load(), 99);
+  // Every index that started ran to completion before the rethrow: the
+  // dispatch must not abandon in-flight items (their callable would dangle).
+  EXPECT_EQ(finished.load(), started.load() - 1);
 }
 
 TEST(ThreadPool, ParallelForFirstExceptionWins) {
   ThreadPool pool(2);
-  // Two failing indices across different chunks: exactly one exception
-  // surfaces, and it is the one from the lowest-index chunk joined first.
+  // Two failing indices: exactly one exception surfaces, whichever was
+  // recorded first; the other is swallowed.
   try {
-    pool.parallel_for(10, [&](std::size_t i) {
+    pool.parallel_for_dynamic(10, [&](std::size_t i) {
+      if (i == 0 || i == 9) throw std::runtime_error("fail " + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what == "fail 0" || what == "fail 9") << what;
+  }
+  // A one-worker pool claims indices in order, so the lowest failing index
+  // wins and the later one never runs.
+  ThreadPool serial(1);
+  int calls = 0;
+  try {
+    serial.parallel_for_dynamic(10, [&](std::size_t i) {
+      ++calls;
       if (i == 0 || i == 9) throw std::runtime_error("fail " + std::to_string(i));
     });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "fail 0");
   }
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(ThreadPool, ParallelForHandlesZeroAndHugeCounts) {
   ThreadPool pool(3);
   int calls = 0;
-  pool.parallel_for(0, [&](std::size_t) { ++calls; });
+  pool.parallel_for_dynamic(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  // Far more indices than workers: chunking must still cover every index
+  // Far more indices than workers: the ticket must still cover every index
   // exactly once.
   std::vector<std::atomic<int>> hits(10000);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_dynamic(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
