@@ -35,6 +35,7 @@
 #include "ml/registry.h"
 #include "ml/tree/trainer.h"
 #include "perf_gate.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -92,6 +93,7 @@ struct TreeBenchCase {
   const char* label;       // row name in the JSON (unique)
   const char* classifier;  // registry name
   ParamMap params;         // overrides on top of registry defaults
+  bool meta_shape = false;  // train on meta_shape_workload(), not tree_workload()
 };
 
 /// Registry defaults for the whole family, plus an all-features forest:
@@ -99,7 +101,9 @@ struct TreeBenchCase {
 /// small columns per node, so the presort win there is bounded by the
 /// shared fold/partition work; the all-features row shows the kernel's
 /// effect when split scans touch every column (the boosting/full-tree
-/// regime).  See DESIGN.md "Training kernels".
+/// regime).  The meta-shape row is the §6.2 family meta-predictor's forest
+/// on its data shape, where most columns are constant zero padding that the
+/// fast builder skips.  See DESIGN.md "Training kernels".
 const std::vector<TreeBenchCase>& tree_cases() {
   static const std::vector<TreeBenchCase> cases = {
       {"decision_tree", "decision_tree", {}},
@@ -110,8 +114,31 @@ const std::vector<TreeBenchCase>& tree_cases() {
       {"bagging", "bagging", {}},
       {"boosted_trees", "boosted_trees", {}},
       {"decision_jungle", "decision_jungle", {}},
+      {"random_forest_meta_shape",
+       "random_forest",
+       {{"n_estimators", 60LL}, {"max_depth", 14LL}},
+       true},
   };
   return cases;
+}
+
+/// §6.2 meta-dataset shape: ~100 experiments x (4 metrics + 256 label
+/// signature bits), of which only the first 22 bits vary.
+Dataset meta_shape_workload() {
+  const std::size_t n = 100, metrics = 4, bits = 256, live_bits = 22;
+  Rng rng(42);
+  Matrix x(n, metrics + bits);
+  std::vector<int> y(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    y[r] = rng.chance(0.5) ? 1 : 0;
+    for (std::size_t c = 0; c < metrics; ++c) {
+      x(r, c) = 0.6 + 0.2 * y[r] + 0.15 * rng.normal();
+    }
+    for (std::size_t b = 0; b < live_bits; ++b) {
+      x(r, metrics + b) = rng.chance(y[r] == 1 ? 0.7 : 0.4) ? 1.0 : 0.0;
+    }
+  }
+  return Dataset(std::move(x), std::move(y));
 }
 
 Dataset tree_workload() {
@@ -145,6 +172,7 @@ struct TreeBenchRow {
   std::string name;
   double fast_ms = 0.0;
   double reference_ms = 0.0;
+  std::size_t n_samples = 0, n_features = 0;
   double speedup() const { return fast_ms > 0.0 ? reference_ms / fast_ms : 0.0; }
 };
 
@@ -155,11 +183,15 @@ std::vector<PerfGateRow> gate_rows(const std::vector<TreeBenchRow>& rows) {
 }
 
 int run_json_mode(const PerfGateArgs& gate) {
-  const Dataset ds = tree_workload();
+  const Dataset default_ds = tree_workload();
+  const Dataset meta_ds = meta_shape_workload();
   std::vector<TreeBenchRow> rows;
   for (const auto& c : tree_cases()) {
+    const Dataset& ds = c.meta_shape ? meta_ds : default_ds;
     TreeBenchRow row;
     row.name = c.label;
+    row.n_samples = ds.n_samples();
+    row.n_features = ds.n_features();
     row.fast_ms = time_fit_ms(c, ds, TreeBuilder::kFast, 5);
     row.reference_ms = time_fit_ms(c, ds, TreeBuilder::kReference, 3);
     rows.push_back(row);
@@ -170,11 +202,10 @@ int run_json_mode(const PerfGateArgs& gate) {
   std::ostringstream json;
   json << "{\n"
        << "  \"bench\": \"tree_training\",\n"
-       << "  \"workload\": {\"n_samples\": " << ds.n_samples()
-       << ", \"n_features\": " << ds.n_features() << "},\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    json << "    {\"name\": \"" << rows[i].name << "\", \"fast_ms\": " << rows[i].fast_ms
+    json << "    {\"name\": \"" << rows[i].name << "\", \"n_samples\": " << rows[i].n_samples
+         << ", \"n_features\": " << rows[i].n_features << ", \"fast_ms\": " << rows[i].fast_ms
          << ", \"reference_ms\": " << rows[i].reference_ms
          << ", \"speedup_vs_reference\": " << rows[i].speedup() << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";

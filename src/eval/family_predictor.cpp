@@ -1,6 +1,7 @@
 #include "eval/family_predictor.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "data/dataset.h"
@@ -30,21 +31,31 @@ namespace {
 const std::set<std::string> kGroundTruthPlatforms = {"BigML", "PredictionIO", "Microsoft",
                                                      "Local"};
 
-/// Experiments with known classifier choice on one dataset, as a meta
-/// dataset: features = observable metrics, label = 1 for non-linear.
-Dataset build_meta_dataset(const MeasurementTable& table, const std::string& dataset_id) {
-  std::vector<std::vector<double>> feats;
-  std::vector<int> labels;
+using RowsByDataset = std::map<std::string, std::vector<const Measurement*>>;
+
+/// Experiments with known classifier choice, grouped by dataset in one pass
+/// over the table (table order within each dataset).
+RowsByDataset ground_truth_rows(const MeasurementTable& table) {
+  RowsByDataset by_dataset;
   for (const auto& m : table.rows()) {
-    if (m.dataset_id != dataset_id) continue;
     if (m.classifier == "auto" || kGroundTruthPlatforms.count(m.platform) == 0) continue;
-    feats.push_back(family_features(m));
-    labels.push_back(classifier_is_linear(m.classifier) ? 0 : 1);
+    by_dataset[m.dataset_id].push_back(&m);
   }
-  const std::size_t width = feats.empty() ? 0 : feats.front().size();
-  Matrix x(feats.size(), width);
-  for (std::size_t r = 0; r < feats.size(); ++r) {
-    for (std::size_t c = 0; c < width; ++c) x(r, c) = feats[r][c];
+  return by_dataset;
+}
+
+/// One dataset's ground-truth rows as a meta dataset: features = observable
+/// metrics, label = 1 for non-linear.
+Dataset build_meta_dataset(const std::vector<const Measurement*>& rows,
+                           const std::string& dataset_id) {
+  const std::size_t width = rows.empty() ? 0 : family_features(*rows.front()).size();
+  Matrix x(rows.size(), width);
+  std::vector<int> labels;
+  labels.reserve(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const auto f = family_features(*rows[r]);
+    std::copy(f.begin(), f.end(), x.row(r).begin());
+    labels.push_back(classifier_is_linear(rows[r]->classifier) ? 0 : 1);
   }
   Dataset meta(std::move(x), std::move(labels));
   meta.meta().id = "meta-" + dataset_id;
@@ -61,11 +72,12 @@ ParamMap meta_rf_params() {
 FamilyPredictorReport train_family_predictors(const MeasurementTable& table,
                                               std::uint64_t seed, double select_threshold) {
   FamilyPredictorReport report;
+  RowsByDataset ground_truth = ground_truth_rows(table);
   for (const auto& dataset_id : table.dataset_ids()) {
     DatasetFamilyPredictor predictor;
     predictor.dataset_id = dataset_id;
 
-    const Dataset meta = build_meta_dataset(table, dataset_id);
+    const Dataset meta = build_meta_dataset(ground_truth[dataset_id], dataset_id);
     const std::size_t pos = count_positive(meta.y());
     // Need both families represented with enough samples to split 70/30 and
     // run 5-fold CV.

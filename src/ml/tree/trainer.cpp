@@ -293,6 +293,9 @@ class FastEngine final : public SplitEngine {
     double* hesss = ws_.hessian_scratch();
 
     for (auto f : feat_scratch_) {
+      // A feature dead over the base is constant at every node: the
+      // reference builder would hit the constant check below too.
+      if (!ws_.live(f)) continue;
       const double* col = ws_.column(f);
       const std::uint32_t* ord = ws_.order(f) + p.start;
       if (col[ord[0]] == col[ord[m - 1]]) continue;  // constant
@@ -410,15 +413,24 @@ std::shared_ptr<const TreeTrainBase> TreeTrainBase::build(const Matrix& x) {
   // Sorting contiguous (value, index) pairs — default lexicographic compare
   // is exactly that order — beats an indirect comparator into the column:
   // every hot comparison reads the keys from the sort's own working set.
+  // A dead feature (every value == the first; a NaN never is) has only
+  // ties, so its order is the identity and needs no sort.
   base->pristine.resize(base->rows * base->cols);
+  base->constant.assign(base->cols, 0);
   std::vector<std::pair<double, std::uint32_t>> keyed(base->rows);
   for (std::size_t f = 0; f < base->cols; ++f) {
     const double* col = base->columns.data() + f * base->rows;
+    std::uint32_t* ord = base->pristine.data() + f * base->rows;
+    base->constant[f] =
+        std::all_of(col, col + base->rows, [&](double v) { return v == col[0]; });
+    if (base->constant[f]) {
+      std::iota(ord, ord + base->rows, std::uint32_t{0});
+      continue;
+    }
     for (std::size_t r = 0; r < base->rows; ++r) {
       keyed[r] = {col[r], static_cast<std::uint32_t>(r)};
     }
     std::sort(keyed.begin(), keyed.end());
-    std::uint32_t* ord = base->pristine.data() + f * base->rows;
     for (std::size_t r = 0; r < base->rows; ++r) ord[r] = keyed[r].second;
   }
   return base;
@@ -552,38 +564,38 @@ void TreeWorkspace::bind(const Matrix& x, std::span<const std::size_t> rows,
                          std::span<const std::size_t> features) {
   bind_base(x);
   const std::size_t base_rows = base_->rows;
+  const std::size_t view_cols = features.empty() ? base_->cols : features.size();
   view_rows_ = rows.empty() ? base_rows : rows.size();
-  view_cols_ = features.empty() ? base_->cols : features.size();
-  view_is_base_ = rows.empty() && features.empty();
-  order_.resize(view_rows_ * view_cols_);
 
-  if (!view_is_base_) {
-    view_columns_.resize(view_rows_ * view_cols_);
-    for (std::size_t j = 0; j < view_cols_; ++j) {
-      const std::size_t f = features.empty() ? j : features[j];
-      const double* src = base_->columns.data() + f * base_rows;
-      double* dst = view_columns_.data() + j * view_rows_;
-      if (rows.empty()) {
-        std::copy(src, src + base_rows, dst);
-      } else {
-        for (std::size_t i = 0; i < view_rows_; ++i) dst[i] = src[rows[i]];
-      }
+  // Map view features to base features; only live ones get an order slot.
+  slot_.resize(view_cols);
+  live_.clear();
+  for (std::size_t j = 0; j < view_cols; ++j) {
+    const std::size_t f = features.empty() ? j : features[j];
+    if (base_->constant[f]) {
+      slot_[j] = kDead;
+    } else {
+      slot_[j] = static_cast<std::uint32_t>(live_.size());
+      live_.push_back(f);
     }
   }
+  const std::size_t n_live = live_.size();
+  order_.resize(view_rows_ * n_live);
+  columns_.resize(n_live);
 
   if (rows.empty()) {
-    // Same sample set as the base: restore the pristine orders with a copy.
-    const auto& pristine = base_->pristine;
-    for (std::size_t j = 0; j < view_cols_; ++j) {
-      const std::size_t f = features.empty() ? j : features[j];
-      std::copy(pristine.begin() + static_cast<std::ptrdiff_t>(f * base_rows),
-                pristine.begin() + static_cast<std::ptrdiff_t>((f + 1) * base_rows),
-                order_.begin() + static_cast<std::ptrdiff_t>(j * view_rows_));
+    // Same sample set as the base: read the base columns in place and
+    // restore the pristine orders with a copy.
+    for (std::size_t s = 0; s < n_live; ++s) {
+      columns_[s] = base_->columns.data() + live_[s] * base_rows;
+      const std::uint32_t* src = base_->pristine.data() + live_[s] * base_rows;
+      std::copy(src, src + base_rows, order_.data() + s * view_rows_);
     }
   } else {
-    // Bootstrap: derive each feature's presorted order from the base order
-    // by a counting pass — walk base rows in sorted order and emit every
-    // bootstrap position that drew that row, ascending.  O(d x n), no sort.
+    // Bootstrap: gather each column, and derive its presorted order from
+    // the base order by a counting pass — walk base rows in sorted order
+    // and emit every bootstrap position that drew that row, ascending.
+    // O(d x n), no sort.
     row_count_.assign(base_rows, 0);
     for (const std::size_t r : rows) ++row_count_[r];
     row_offset_.resize(base_rows + 1);
@@ -597,10 +609,15 @@ void TreeWorkspace::bind(const Matrix& x, std::span<const std::size_t> rows,
       const std::size_t r = rows[i];
       row_positions_[row_offset_[r] + row_count_[r]++] = static_cast<std::uint32_t>(i);
     }
-    for (std::size_t j = 0; j < view_cols_; ++j) {
-      const std::size_t f = features.empty() ? j : features[j];
-      const std::uint32_t* base_ord = base_->pristine.data() + f * base_rows;
-      std::uint32_t* ord = order_.data() + j * view_rows_;
+    view_columns_.resize(view_rows_ * n_live);
+    for (std::size_t s = 0; s < n_live; ++s) {
+      const double* src = base_->columns.data() + live_[s] * base_rows;
+      double* dst = view_columns_.data() + s * view_rows_;
+      for (std::size_t i = 0; i < view_rows_; ++i) dst[i] = src[rows[i]];
+      columns_[s] = dst;
+
+      const std::uint32_t* base_ord = base_->pristine.data() + live_[s] * base_rows;
+      std::uint32_t* ord = order_.data() + s * view_rows_;
       std::size_t w = 0;
       for (std::size_t k = 0; k < base_rows; ++k) {
         const std::uint32_t r = base_ord[k];
@@ -627,11 +644,12 @@ void TreeWorkspace::tandem_partition(std::size_t start, std::size_t mid,
   // data-dependent and essentially random, so a conditional write would
   // mispredict on every other element; two unconditional stores are far
   // cheaper.  The spill buffer is one slot larger than the view so the
-  // trailing non-advancing store stays in bounds.
+  // trailing non-advancing store stays in bounds.  Dead features have no
+  // order to maintain.
   std::uint32_t* rhs = part_right_.data();
   const std::uint8_t* flags = goes_left_.data();
-  for (std::size_t f = 0; f < view_cols_; ++f) {
-    std::uint32_t* ord = order(f);
+  for (std::size_t s = 0; s < live_.size(); ++s) {
+    std::uint32_t* ord = order_.data() + s * view_rows_;
     std::size_t w = start;
     std::size_t nr = 0;
     for (std::size_t i = start; i < end; ++i) {

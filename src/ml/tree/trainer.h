@@ -27,6 +27,7 @@
 // DESIGN.md "Training kernels" for the full argument.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -49,17 +50,23 @@ TreeBuilder active_tree_builder();
 void set_active_tree_builder(TreeBuilder builder);
 
 /// The immutable, matrix-only half of the presort scheme: the feature-major
-/// column cache and the per-feature presorted base orders.  Depends only on
-/// the training matrix's contents, so one build can be shared (shared_ptr)
-/// by every workspace — and every classifier fit — training on that matrix.
+/// column cache, the per-feature presorted base orders and which features
+/// are dead.  Depends only on the training matrix's contents, so one build
+/// can be shared (shared_ptr) by every workspace — and every classifier
+/// fit — training on that matrix.
 struct TreeTrainBase {
   std::size_t rows = 0;
   std::size_t cols = 0;
   std::vector<double> columns;          // feature-major base matrix
   std::vector<std::uint32_t> pristine;  // per-feature presorted base orders
+  /// Per-feature dead flag: every base value compares == to the first.  A
+  /// dead feature is constant over every view of the matrix, so no split
+  /// search can use it and the trainer keeps no order for it.
+  std::vector<std::uint8_t> constant;
 
   /// Transpose + presort `x`.  Deterministic: ascending value with row index
-  /// as tie-break, so two builds of equal matrices are byte-identical.
+  /// as tie-break, so two builds of equal matrices are byte-identical (a
+  /// dead feature's order is the identity, written without a sort).
   static std::shared_ptr<const TreeTrainBase> build(const Matrix& x);
 };
 
@@ -135,6 +142,9 @@ class ScopedTrainContext {
 /// (TreeTrainBase) and per-tree working orders and scratch buffers.  bind()
 /// is called by train_tree(); the bound matrix must stay alive and
 /// unchanged while the workspace uses it.
+///
+/// Only live view features (base feature not dead) get a column and an
+/// order; their orders are stored compactly, one slot per live feature.
 class TreeWorkspace {
  public:
   /// Bind a training view of `x`: the full matrix (rows/features empty), a
@@ -145,17 +155,24 @@ class TreeWorkspace {
             std::span<const std::size_t> features = {});
 
   std::size_t view_rows() const { return view_rows_; }
-  std::size_t view_cols() const { return view_cols_; }
+  std::size_t view_cols() const { return slot_.size(); }
 
-  /// Contiguous column of the bound view.
+  /// False when view feature f is constant over the base matrix: it can
+  /// never split, and has no column or order in the workspace.
+  bool live(std::size_t f) const { return slot_[f] != kDead; }
+
+  /// Contiguous column of live view feature f.
   const double* column(std::size_t f) const {
-    return (view_is_base_ ? base_->columns.data() : view_columns_.data()) +
-           f * view_rows_;
+    assert(live(f));
+    return columns_[slot_[f]];
   }
-  /// Working sample order of feature f (positions into the view).
-  std::uint32_t* order(std::size_t f) { return order_.data() + f * view_rows_; }
+  /// Working sample order of live view feature f (positions into the view).
+  std::uint32_t* order(std::size_t f) {
+    assert(live(f));
+    return order_.data() + slot_[f] * view_rows_;
+  }
 
-  /// Stable tandem partition of every feature order over [start, end):
+  /// Stable tandem partition of every live feature order over [start, end):
   /// samples flagged left (goes_left()[pos] != 0) keep their relative
   /// order in [start, mid), the rest in [mid, end).
   void tandem_partition(std::size_t start, std::size_t mid, std::size_t end);
@@ -166,16 +183,19 @@ class TreeWorkspace {
   double* hessian_scratch() { return hessian_scratch_.data(); }
 
  private:
+  static constexpr std::uint32_t kDead = ~std::uint32_t{0};
+
   void bind_base(const Matrix& x);
 
   const Matrix* base_matrix_ = nullptr;             // identity of the bound base
   std::shared_ptr<const TreeTrainBase> base_;       // columns + pristine orders
 
   std::size_t view_rows_ = 0;
-  std::size_t view_cols_ = 0;
-  bool view_is_base_ = false;
-  std::vector<double> view_columns_;      // gathered bootstrap/subset columns
-  std::vector<std::uint32_t> order_;      // per-feature working orders
+  std::vector<std::uint32_t> slot_;       // view feature -> order slot, or kDead
+  std::vector<std::size_t> live_;         // base feature of each order slot
+  std::vector<const double*> columns_;    // per-slot column (base or gathered)
+  std::vector<double> view_columns_;      // gathered bootstrap columns, by slot
+  std::vector<std::uint32_t> order_;      // per-slot working orders
 
   std::vector<std::uint8_t> goes_left_;   // per-position split side flags
   std::vector<std::uint32_t> part_right_;  // tandem right spill buffer

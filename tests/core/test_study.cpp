@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
 
 namespace mlaas {
 namespace {
@@ -16,18 +19,37 @@ StudyOptions tiny_options(const std::string& tag) {
   opt.quick = true;
   opt.verbose = false;
   opt.threads = 2;
-  // The cache is intentionally kept between test processes: the measurement
-  // table is deterministic in (seed, options), so the first test computes it
-  // and every later ctest invocation loads it.
   opt.cache_path_override = ::testing::TempDir() + "/study_cache_" + tag + ".tsv";
   return opt;
 }
 
+void remove_cache_files(const StudyOptions& opt) {
+  for (const char* suffix : {"", ".campaign.tsv", ".campaign.json", ".journal"}) {
+    std::remove((opt.cache_path() + suffix).c_str());
+  }
+}
+
+/// A Study over a fresh campaign.  Its cache, report sidecars and journal
+/// are removed before it is built and when the process exits: the cache
+/// fingerprint covers options, not code, so a cache kept across test runs
+/// would let a change that alters measurement rows pass against old rows.
+/// The path carries the process id because ctest runs each test in its own
+/// process, several at once.
+struct FreshStudy {
+  explicit FreshStudy(const StudyOptions& opt)
+      : options((remove_cache_files(opt), opt)), study(options) {}
+  ~FreshStudy() { remove_cache_files(options); }
+
+  StudyOptions options;
+  Study study;
+};
+
 class StudyIntegration : public ::testing::Test {
  protected:
+  // Built once per process; every test in the process reads the same Study.
   static Study& study() {
-    static Study instance(tiny_options("shared"));
-    return instance;
+    static FreshStudy fresh(tiny_options("shared_" + std::to_string(::getpid())));
+    return fresh.study;
   }
 };
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "data/generators.h"
 #include "linalg/stats.h"
+#include "ml/tree/trainer.h"
 #include "util/rng.h"
 
 namespace mlaas {
@@ -117,6 +120,84 @@ TEST(FamilyPredictor, UnselectedDatasetsYieldNoChoices) {
   t.add(row("Google", "auto", 0.8));
   const auto report = train_family_predictors(t, 1);
   EXPECT_TRUE(predict_blackbox_choices(report, t, "Google").empty());
+}
+
+/// Noisy meta-problems on several datasets, rows interleaved across
+/// datasets and platforms, each row carrying a label signature shorter than
+/// kLabelSignatureSize (so most signature columns are zero padding).
+MeasurementTable signature_meta_table(std::uint64_t seed) {
+  MeasurementTable t;
+  Rng rng(seed);
+  const std::vector<std::string> linear{"logistic_regression", "naive_bayes", "linear_svm"};
+  const std::vector<std::string> nonlinear{"decision_tree", "random_forest", "knn"};
+  const std::vector<std::string> platforms{"Local", "Microsoft", "BigML", "PredictionIO"};
+  // dB's families overlap more than dA's; dC is too small to train.
+  const std::vector<std::pair<std::string, double>> datasets{
+      {"dA", 0.25}, {"dB", 0.05}, {"dC", 0.25}};
+  for (int i = 0; i < 36; ++i) {
+    for (const auto& [dataset, gap] : datasets) {
+      if (dataset == "dC" && i >= 4) continue;
+      for (const bool is_nonlinear : {false, true}) {
+        const auto& names = is_nonlinear ? nonlinear : linear;
+        Measurement m = row(platforms[static_cast<std::size_t>(i) % platforms.size()],
+                            names[static_cast<std::size_t>(i) % names.size()],
+                            0.6 + (is_nonlinear ? gap : 0.0) + rng.uniform(0.0, 0.2),
+                            dataset);
+        m.test.recall = rng.uniform(0.4, 0.9);
+        m.label_signature.clear();
+        for (int b = 0; b < 20; ++b) {
+          m.label_signature += rng.chance(is_nonlinear && b < 8 ? 0.7 : 0.45) ? '1' : '0';
+        }
+        t.add(m);
+      }
+    }
+    if (i % 6 == 0) t.add(row("Google", "auto", 0.7, "dA"));  // not ground truth
+  }
+  return t;
+}
+
+class BuilderGuard {
+ public:
+  explicit BuilderGuard(TreeBuilder b) : prev_(active_tree_builder()) {
+    set_active_tree_builder(b);
+  }
+  ~BuilderGuard() { set_active_tree_builder(prev_); }
+
+ private:
+  TreeBuilder prev_;
+};
+
+TEST(FamilyPredictor, FastAndReferenceBuildersAgree) {
+  const MeasurementTable table = signature_meta_table(13);
+  FamilyPredictorReport fast, reference;
+  {
+    BuilderGuard guard(TreeBuilder::kFast);
+    fast = train_family_predictors(table, 3);
+  }
+  {
+    BuilderGuard guard(TreeBuilder::kReference);
+    reference = train_family_predictors(table, 3);
+  }
+  ASSERT_EQ(fast.predictors.size(), 3u);
+  ASSERT_EQ(reference.predictors.size(), 3u);
+  EXPECT_EQ(fast.selected, reference.selected);
+  std::size_t trained = 0;
+  for (std::size_t i = 0; i < fast.predictors.size(); ++i) {
+    const auto& f = fast.predictors[i];
+    const auto& r = reference.predictors[i];
+    EXPECT_EQ(f.dataset_id, r.dataset_id);
+    EXPECT_EQ(f.trainable, r.trainable) << f.dataset_id;
+    EXPECT_EQ(f.validation_f, r.validation_f) << f.dataset_id;
+    EXPECT_EQ(f.test_f, r.test_f) << f.dataset_id;
+    ASSERT_EQ(f.model == nullptr, r.model == nullptr) << f.dataset_id;
+    if (!f.model) continue;
+    ++trained;
+    std::ostringstream fast_bytes, reference_bytes;
+    f.model->save(fast_bytes);
+    r.model->save(reference_bytes);
+    EXPECT_EQ(fast_bytes.str(), reference_bytes.str()) << f.dataset_id;
+  }
+  EXPECT_EQ(trained, 2u);  // dC has too few rows
 }
 
 }  // namespace
